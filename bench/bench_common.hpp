@@ -16,18 +16,10 @@
 //               stays uninstrumented.
 //   --epoch N   timeline epoch length in accesses (default 1024; only
 //               meaningful with --timeline).
-//   --chunk-accesses N
-//               replay through the block engine in N-access blocks instead
-//               of the one-access-at-a-time reference loop. Results are
-//               byte-identical for every N; 0 (default) keeps the
-//               historical path.
-//   --shards K  workers inside each single run (default 1). With
-//               --shard-mode exact (default), K stripes the decode stage
-//               and output stays byte-identical for any K; with
-//               --shard-mode partitioned, pages are hash-split across K
-//               policy instances with proportional budgets (deterministic
-//               per K, but an approximation of the global policy).
-//   --shard-mode exact|partitioned
+//   --shards K  partitioned shards inside each single run (default 1 =
+//               serial). K > 1 hash-splits pages across K policy instances
+//               with proportional budgets: deterministic per K, but an
+//               approximation of the global policy.
 //
 // Unknown flags are rejected: every harness parses through util::cli and
 // errors out listing the full flag set, so a typo ("--job 4") fails loudly
@@ -38,6 +30,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,9 +52,7 @@ struct BenchContext {
   unsigned jobs = 1;  ///< Sweep worker threads.
   std::string timeline;  ///< --timeline PATH; empty = sampling off.
   std::uint64_t timeline_epoch = 1024;  ///< --epoch N.
-  std::uint64_t chunk_accesses = 0;  ///< --chunk-accesses N; 0 = reference.
-  unsigned shards = 1;               ///< --shards K inside each run.
-  sim::ShardMode shard_mode = sim::ShardMode::kExact;
+  unsigned shards = 1;  ///< --shards K inside each run.
 };
 
 /// The flags every harness accepts, with one-line help.
@@ -74,32 +65,17 @@ common_flag_help() {
       {"csv", "also dump the table as CSV to stdout"},
       {"timeline", "write the spliced epoch time-series CSV to PATH"},
       {"epoch", "timeline epoch length in accesses (default 1024)"},
-      {"chunk-accesses",
-       "block-engine replay in N-access blocks (0 = reference loop)"},
-      {"shards", "workers inside each run (default 1)"},
-      {"shard-mode", "exact (byte-identical) or partitioned (approximate)"},
+      {"shards", "partitioned shards inside each run (default 1 = serial)"},
   };
   return help;
 }
 
-/// Exits with the full flag list when argv contains a flag outside the
-/// common set plus `extra_flags` (harness-specific additions like --json).
-inline void reject_unknown_flags(const CliArgs& args,
-                                 const std::vector<std::string>& extra_flags) {
-  std::vector<std::string> unknown;
-  for (const std::string& name : args.flag_names()) {
-    bool known = false;
-    for (const auto& [flag, help] : common_flag_help()) {
-      if (name == flag) known = true;
-    }
-    for (const std::string& flag : extra_flags) {
-      if (name == flag) known = true;
-    }
-    if (!known) unknown.push_back(name);
-  }
-  if (unknown.empty()) return;
-  std::cerr << args.program() << ": unknown flag";
-  for (const std::string& name : unknown) std::cerr << " --" << name;
+/// Prints `message` and the full flag list, then exits 2 (the usage error
+/// of every harness: unknown flags and malformed values alike).
+[[noreturn]] inline void usage_error(
+    const CliArgs& args, const std::string& message,
+    const std::vector<std::string>& extra_flags) {
+  std::cerr << args.program() << ": " << message;
   std::cerr << "\n\nAccepted flags:\n";
   for (const auto& [flag, help] : common_flag_help()) {
     std::cerr << "  --" << flag << "  " << help << "\n";
@@ -110,46 +86,48 @@ inline void reject_unknown_flags(const CliArgs& args,
   std::exit(2);
 }
 
+/// Exits with the full flag list when argv contains a flag outside the
+/// common set plus `extra_flags` (harness-specific additions like --json).
+inline void reject_unknown_flags(const CliArgs& args,
+                                 const std::vector<std::string>& extra_flags) {
+  std::string unknown;
+  for (const std::string& name : args.flag_names()) {
+    bool known = false;
+    for (const auto& [flag, help] : common_flag_help()) {
+      if (name == flag) known = true;
+    }
+    for (const std::string& flag : extra_flags) {
+      if (name == flag) known = true;
+    }
+    if (!known) unknown += " --" + name;
+  }
+  if (!unknown.empty()) usage_error(args, "unknown flag" + unknown, extra_flags);
+}
+
 inline BenchContext parse_args(
     int argc, char** argv, std::uint64_t default_scale = 64,
     const std::vector<std::string>& extra_flags = {}) {
   const CliArgs args(argc, argv);
   reject_unknown_flags(args, extra_flags);
   BenchContext ctx;
-  ctx.scale = args.get_uint("scale", default_scale);
-  ctx.seed = args.get_uint("seed", 42);
-  ctx.csv = args.get_bool("csv", false);
-  ctx.jobs = static_cast<unsigned>(
-      args.get_uint("jobs", runner::ThreadPool::default_threads()));
-  ctx.timeline = args.get("timeline");
-  ctx.timeline_epoch = args.get_uint("epoch", 1024);
-  ctx.chunk_accesses = args.get_uint("chunk-accesses", 0);
-  ctx.shards = static_cast<unsigned>(args.get_uint("shards", 1));
-  const std::string mode = args.get("shard-mode", "exact");
-  if (mode == "exact") {
-    ctx.shard_mode = sim::ShardMode::kExact;
-  } else if (mode == "partitioned") {
-    ctx.shard_mode = sim::ShardMode::kPartitioned;
-  } else {
-    std::cerr << args.program()
-              << ": --shard-mode must be 'exact' or 'partitioned', got '"
-              << mode << "'\n";
-    std::exit(2);
+  try {
+    ctx.scale = args.get_uint("scale", default_scale);
+    ctx.seed = args.get_uint("seed", 42);
+    ctx.csv = args.get_bool("csv", false);
+    ctx.jobs = static_cast<unsigned>(
+        args.get_uint("jobs", runner::ThreadPool::default_threads()));
+    ctx.timeline = args.get("timeline");
+    ctx.timeline_epoch = args.get_uint("epoch", 1024);
+    ctx.shards = static_cast<unsigned>(args.get_uint("shards", 1));
+  } catch (const std::invalid_argument& e) {
+    usage_error(args, e.what(), extra_flags);
   }
+  if (ctx.scale == 0) usage_error(args, "--scale must be positive", extra_flags);
   return ctx;
 }
 
-/// Applies the context's engine knobs (block size, shards, mode) to one
-/// experiment config.
-inline void apply_engine(sim::ExperimentConfig& config,
-                         const BenchContext& ctx) {
-  config.chunk_accesses = ctx.chunk_accesses;
-  config.shards = ctx.shards;
-  config.shard_mode = ctx.shard_mode;
-}
-
 /// Turns on epoch sampling in every grid cell when the harness was run with
-/// --timeline, and threads the engine knobs through every variant.
+/// --timeline, and threads the shard count through every variant.
 /// Materializes the implicit default variant so the overrides have a config
 /// to land on.
 inline void apply_overrides(runner::SweepSpec& spec, const BenchContext& ctx) {
@@ -158,7 +136,7 @@ inline void apply_overrides(runner::SweepSpec& spec, const BenchContext& ctx) {
     if (!ctx.timeline.empty()) {
       variant.config.timeline_epoch = ctx.timeline_epoch;
     }
-    apply_engine(variant.config, ctx);
+    variant.config.shards = ctx.shards;
   }
 }
 
@@ -191,7 +169,7 @@ inline sim::RunResult run(const synth::WorkloadProfile& profile,
                           const std::string& policy, const BenchContext& ctx,
                           sim::ExperimentConfig config = {}) {
   config.policy = policy;
-  apply_engine(config, ctx);
+  config.shards = ctx.shards;
   return runner::run_workload_dispatch(profile, ctx.scale, config, ctx.seed);
 }
 

@@ -1,14 +1,14 @@
 #include "check/sampled_invariants.hpp"
 
 #include <cstddef>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
 #include "check/fuzzer.hpp"
 #include "os/vmm.hpp"
-#include "trace/interner.hpp"
+#include "sim/engine.hpp"
+#include "trace/block_source.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 
@@ -101,16 +101,10 @@ SampledFuzzOutcome replay(const FuzzCase& fc, const sample::SampleConfig& scfg,
   sample::SampledLruPolicy policy(vmm, scfg);
   if (audit_every_access) install_invariant_hook(policy);
 
-  const trace::PageIdInterner interner(fc.trace, vcfg.page_size);
-  const std::span<const PageId> pages = interner.pages();
-  const std::span<const trace::MemAccess> accesses = fc.trace.accesses();
+  trace::TraceBlockSource source(fc.trace, vcfg.page_size);
   SampledFuzzOutcome out;
-  for (std::size_t i = 0; i < pages.size(); ++i) {
-    const Nanoseconds latency = policy.on_access(pages[i], accesses[i].type);
-    policy.tap().on_access(pages[i], accesses[i].type, latency);
-  }
+  out.accesses = sim::replay_pass(policy, source, &policy.tap()).accesses;
   check_invariants(policy);
-  out.accesses = pages.size();
   out.stats = policy.sampled_stats();
   out.dram_resident = vmm.resident(Tier::kDram);
   out.nvm_resident = vmm.resident(Tier::kNvm);

@@ -5,7 +5,6 @@
 
 #include "core/migration_scheme.hpp"
 #include "os/vmm.hpp"
-#include "sim/engine.hpp"
 #include "sim/results_io.hpp"
 #include "trace/block_source.hpp"
 #include "trace/stream_io.hpp"
@@ -45,6 +44,29 @@ std::string encode_stream(const trace::Trace& trace,
 
 }  // namespace
 
+sim::RunResult replay_per_access(policy::HybridPolicy& policy,
+                                 const trace::Trace& trace, double duration_s,
+                                 unsigned warmup_passes) {
+  os::Vmm& vmm = policy.vmm();
+  const std::uint64_t page_size = vmm.config().page_size;
+  sim::RunResult result;
+  for (unsigned pass = 0; pass <= warmup_passes; ++pass) {
+    result.visible_latency_ns = 0;
+    for (const trace::MemAccess& access : trace.accesses()) {
+      result.visible_latency_ns += policy.on_access(
+          trace::page_of(access.addr, page_size), access.type);
+    }
+    if (pass < warmup_passes) vmm.reset_accounting();
+  }
+  result.policy = std::string(policy.name());
+  result.workload = trace.name();
+  result.duration_s = duration_s;
+  result.accesses = trace.size();
+  result.counts = model::EventCounts::from_vmm(vmm, result.accesses);
+  result.params = model::ModelParams::from_vmm(vmm);
+  return result;
+}
+
 StreamParityResult run_stream_parity(const FuzzCase& fc,
                                      std::size_t block_accesses) {
   HYMEM_CHECK_MSG(!fc.trace.empty(), "stream parity over an empty trace");
@@ -60,8 +82,8 @@ StreamParityResult run_stream_parity(const FuzzCase& fc,
   std::string reference;
   {
     Stack stack(fc);
-    reference =
-        sim::to_json(sim::run_trace(stack.policy, fc.trace, kDurationS));
+    reference = sim::to_json(
+        replay_per_access(stack.policy, fc.trace, kDurationS));
   }
 
   const auto diff = [&](const char* mode, const sim::RunResult& result) {
@@ -86,15 +108,6 @@ StreamParityResult run_stream_parity(const FuzzCase& fc,
     Stack stack(fc);
     trace::TraceBlockSource source(fc.trace, page_size, block_accesses);
     if (!diff("blocks",
-              sim::run_blocks(stack.policy, source, kDurationS))) {
-      return out;
-    }
-  }
-  {
-    Stack stack(fc);
-    trace::TraceBlockSource source(fc.trace, page_size, block_accesses,
-                                   /*decode_workers=*/4);
-    if (!diff("blocks+striped-decode",
               sim::run_blocks(stack.policy, source, kDurationS))) {
       return out;
     }

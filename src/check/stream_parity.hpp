@@ -1,14 +1,14 @@
-// Stream-parity harness: the streaming/block replay engines vs the serial
-// reference engine.
+// Stream-parity harness: the block replay engine vs a per-access reference.
 //
-// The block engine (sim::run_blocks) promises byte-identical results to the
-// one-access-at-a-time reference loop (sim::run_trace) for every ingest
-// mode: decode-once blocks of any size, striped decode on any worker count,
-// and the O(chunk) double-buffered stream of the HYTS format with readahead
-// on or off. run_stream_parity() pins that promise the same way the
-// differential harness pins the oracle: replay one trace through every
-// mode and diff the complete serialized RunResult (counts, latencies,
-// derived Eq. 1/2/3 metrics) against the reference.
+// The engine (sim::run_blocks over a BlockSource) promises byte-identical
+// results to the plain one-access-at-a-time loop — page_of, then the
+// policy's on_access, per access — for every ingest mode: bounded-decode
+// blocks of any size over a materialized trace, and the O(block)
+// double-buffered stream of the HYTS format with readahead on or off.
+// run_stream_parity() pins that promise the same way the differential
+// harness pins the oracle: replay one trace through every mode and diff
+// the complete serialized RunResult (counts, latencies, derived Eq. 1/2/3
+// metrics) against the reference.
 //
 // run_stream_parity_case() wraps it for fuzzing: the trace and memory shape
 // derive from a seed through the same check/fuzzer scenarios that feed the
@@ -20,6 +20,8 @@
 #include <string>
 
 #include "check/fuzzer.hpp"
+#include "policy/hybrid_policy.hpp"
+#include "sim/engine.hpp"
 #include "trace/trace.hpp"
 
 namespace hymem::check {
@@ -34,7 +36,15 @@ struct StreamParityResult {
   bool ok() const { return divergence.empty(); }
 };
 
-/// Replays `fc.trace` on `fc`'s memory shape through the reference engine
+/// The reference replay: `warmup_passes` uncounted passes (each followed by
+/// an accounting reset), then one measured pass, each a plain loop of
+/// on_access over page_of(addr) — no blocks, no memoized hashes, no
+/// batching. Packages the result exactly as sim::run_blocks does.
+sim::RunResult replay_per_access(policy::HybridPolicy& policy,
+                                 const trace::Trace& trace, double duration_s,
+                                 unsigned warmup_passes = 0);
+
+/// Replays `fc.trace` on `fc`'s memory shape through the reference loop
 /// and through each block/stream ingest mode with `block_accesses`-sized
 /// blocks, diffing full serialized results.
 StreamParityResult run_stream_parity(const FuzzCase& fc,

@@ -97,10 +97,10 @@ Nanoseconds TwoLruMigrationPolicy::on_access(PageId page, AccessType type) {
   return latency;
 }
 
-Nanoseconds TwoLruMigrationPolicy::on_block(const policy::AccessBlock& block) {
+Nanoseconds TwoLruMigrationPolicy::on_block(const trace::DecodedBlock& block) {
   // Auditing wants the hook after every access: take the generic loop so
   // the checker semantics are identical to the reference engine.
-  if (audit_hook_ || block.hashes == nullptr) {
+  if (audit_hook_) {
     return policy::HybridPolicy::on_block(block);
   }
   // Batched Algorithm 1 with decisions and accounting identical to serve()

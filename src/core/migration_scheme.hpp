@@ -41,7 +41,7 @@ class TwoLruMigrationPolicy final : public policy::HybridPolicy {
   /// needs only the policy's own queue indexes (one probe instead of two),
   /// and same-page runs can serve from a cached node cursor with no probe
   /// at all. Every probe reuses the decode-time memoized page hash.
-  Nanoseconds on_block(const policy::AccessBlock& block) override;
+  Nanoseconds on_block(const trace::DecodedBlock& block) override;
   void prefetch(PageId page) const override {
     vmm_.prefetch_translation(page);
     dram_.prefetch(page);

@@ -11,22 +11,11 @@
 #include <string_view>
 
 #include "os/vmm.hpp"
+#include "trace/access.hpp"
 #include "util/types.hpp"
 #include "util/units.hpp"
 
 namespace hymem::policy {
-
-/// One decoded block of the replay stream, the unit the block engine hands
-/// to a policy. `hashes` memoizes hash_page_id(pages[i]) — the decode stage
-/// computes it once per access so the policy's map probes (page table, LRU
-/// indexes) never rerun the mixer; it may be null when the producer does not
-/// precompute (policies must treat it as an optional acceleration).
-struct AccessBlock {
-  const PageId* pages = nullptr;
-  const AccessType* types = nullptr;
-  const std::uint64_t* hashes = nullptr;
-  std::size_t size = 0;
-};
 
 /// Base class of all hybrid-memory policies (and the single-module
 /// baselines, which simply leave one module empty).
@@ -56,7 +45,7 @@ class HybridPolicy {
   /// dispatch, reuse the memoized hashes, and keep its inner loop free of
   /// virtual calls. The default is the reference replay loop (prefetch a
   /// fixed distance ahead, then serve).
-  virtual Nanoseconds on_block(const AccessBlock& block) {
+  virtual Nanoseconds on_block(const trace::DecodedBlock& block) {
     constexpr std::size_t kPrefetchDistance = 8;
     Nanoseconds total = 0;
     for (std::size_t i = 0; i < block.size; ++i) {

@@ -79,8 +79,8 @@ sim::RunResult run_sharded_experiment(const trace::Trace& warmup,
   const unsigned shards = config.shards;
   if (shards < 2) {
     throw std::invalid_argument(
-        "partitioned sharding needs --shards >= 2 (use the serial or "
-        "exact-shard engine otherwise)");
+        "partitioned sharding needs --shards >= 2 (use the serial engine "
+        "otherwise)");
   }
   if (!sim::is_shardable(config.policy)) {
     sim::throw_unshardable_policy("partitioned sharding", config.policy);
@@ -127,20 +127,16 @@ sim::RunResult run_sharded_experiment(const trace::Trace& warmup,
     os::Vmm vmm(shard_vmm_config(dram_split[s], nvm_split[s], config));
     const auto policy =
         sim::make_policy(config.policy, vmm, config.migration, config.sample);
-    const std::size_t chunk = static_cast<std::size_t>(config.chunk_accesses);
     if (!shard_warmup[s].empty()) {
-      trace::TraceBlockSource warm(shard_warmup[s], config.page_size, chunk);
-      const unsigned passes = std::max(1u, config.warmup_passes);
-      for (unsigned pass = 0; pass < passes; ++pass) {
+      trace::TraceBlockSource warm(shard_warmup[s], config.page_size);
+      for (unsigned pass = 0; pass < std::max(1u, config.warmup_passes);
+           ++pass) {
         if (pass > 0) warm.rewind();
-        while (const trace::DecodedBlock* block = warm.next()) {
-          policy->on_block(
-              {block->pages, block->types, block->hashes, block->size});
-        }
+        sim::replay_pass(*policy, warm);
       }
       vmm.reset_accounting();
     }
-    trace::TraceBlockSource source(shard_measured[s], config.page_size, chunk);
+    trace::TraceBlockSource source(shard_measured[s], config.page_size);
     if (config.timeline_epoch == 0) {
       results[s] = sim::run_blocks(*policy, source, duration_s);
     } else {
@@ -217,7 +213,7 @@ sim::RunResult run_workload_dispatch(const synth::WorkloadProfile& profile,
                                      std::uint64_t scale,
                                      const sim::ExperimentConfig& config,
                                      std::uint64_t seed) {
-  if (config.shards > 1 && config.shard_mode == sim::ShardMode::kPartitioned) {
+  if (config.shards > 1) {
     return run_sharded_workload(profile, scale, config, seed);
   }
   return sim::run_workload(profile, scale, config, seed);

@@ -1,5 +1,5 @@
-// Partitioned-shard execution of one experiment (sim::ShardMode::
-// kPartitioned): the run's address space is hash-partitioned across K
+// Partitioned-shard execution of one experiment (ExperimentConfig::shards
+// > 1): the run's address space is hash-partitioned across K
 // independent policy instances, each owning a proportional slice of the
 // DRAM/NVM budget, replayed in parallel on the shared thread pool, and
 // merged into one RunResult in shard-index order.
@@ -8,8 +8,8 @@
 // page ID (hash_page_id(page) % shards), sub-traces preserve trace order,
 // every shard owns its VMM/policy, and the merge folds shard results in
 // index order 0..K-1 — so output is byte-identical across repeated runs and
-// worker counts *for a fixed K*. Unlike ShardMode::kExact, results are NOT
-// identical across different K: each shard's LRU only sees its own pages
+// worker counts *for a fixed K*. Results are NOT identical across different
+// K, nor to the serial engine: each shard's LRU only sees its own pages
 // and budget slice, so shard-local recency is an approximation knob of the
 // global policy (see DESIGN.md §12).
 //
@@ -42,9 +42,8 @@ sim::RunResult run_sharded_workload(const synth::WorkloadProfile& profile,
                                     std::uint64_t seed = 42);
 
 /// Routing helper for the sweep runner and harnesses: dispatches to
-/// run_sharded_workload when the config asks for partitioned shards, and to
-/// sim::run_workload (which handles serial, chunked and exact-shard modes
-/// internally) otherwise.
+/// run_sharded_workload when config.shards > 1, and to the serial
+/// sim::run_workload otherwise.
 sim::RunResult run_workload_dispatch(const synth::WorkloadProfile& profile,
                                      std::uint64_t scale,
                                      const sim::ExperimentConfig& config,

@@ -1,5 +1,7 @@
-// Simulation engine: replays a memory trace through a hybrid policy and
-// packages the resulting event counts and model inputs.
+// Simulation engine: replays decoded blocks through a hybrid policy and
+// packages the resulting event counts and model inputs. replay_pass is the
+// only replay loop; every warmup and measured pass in the simulator goes
+// through it.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +17,6 @@
 #include "obs/tap.hpp"
 #include "policy/hybrid_policy.hpp"
 #include "trace/block_source.hpp"
-#include "trace/stream_io.hpp"
-#include "trace/trace.hpp"
 
 namespace hymem::sim {
 
@@ -48,46 +48,41 @@ struct RunResult {
   }
 };
 
-/// Replays `trace` (page-granular: addresses are mapped with the VMM's page
-/// size) through `policy`. `duration_s` is the workload's ROI wall time.
+/// Totals of one replay pass.
+struct PassTotals {
+  Nanoseconds visible_latency_ns = 0;
+  std::uint64_t accesses = 0;
+};
+
+/// The replay loop: serves `source` from its current position to its end.
+/// Without an observer every block goes through the policy's on_block fast
+/// path; with one, each access goes through on_access and then
+/// observer->on_access (the per-access observer contract — semantically
+/// what on_block batches). Neither rewinds the source, resets accounting
+/// nor calls on_run_end: the caller owns pass structure.
+PassTotals replay_pass(policy::HybridPolicy& policy, trace::BlockSource& source,
+                       obs::RunObserver* observer = nullptr);
+
+/// Replays `source` through `policy` and packages the run. `duration_s` is
+/// the workload's ROI wall time (Eq. 3 static proration).
 ///
-/// `warmup_passes` replays of the trace run first with accounting reset
-/// afterwards, so the measured pass reflects the steady state (the paper
-/// sizes inputs "to minimize the effect of starting from cold memory").
+/// `warmup_passes` replay passes run first, each followed by a rewind and an
+/// accounting reset, so the measured pass reflects the steady state (the
+/// paper sizes inputs "to minimize the effect of starting from cold
+/// memory"); multi-pass replay therefore needs a rewindable source, while
+/// `warmup_passes == 0` is one forward pass and works on non-seekable
+/// streams too. The source decides the ingest path — a materialized trace
+/// (TraceBlockSource) or the chunked stream format (StreamBlockSource) —
+/// and results are byte-identical either way.
 ///
 /// `observer` (optional) sees every *measured* access (never warmup) plus
-/// one on_run_end(); null costs a single predicted branch per access.
+/// one on_run_end().
 ///
-/// Throws std::invalid_argument on an empty trace — bad input, not a logic
-/// error, so the sweep runner reports it as a per-job failure.
-RunResult run_trace(policy::HybridPolicy& policy, const trace::Trace& trace,
-                    double duration_s, unsigned warmup_passes = 0,
-                    obs::RunObserver* observer = nullptr);
-
-/// Block-replay engine: consumes decoded blocks from a BlockSource and
-/// serves each through the policy's on_block fast path (or, when an
-/// observer is attached, a per-access instrumented loop with identical
-/// semantics). This is the streaming engine proper — the source decides
-/// whether blocks come from a decode-once cache (TraceBlockSource) or a
-/// double-buffered O(chunk) stream (StreamBlockSource); results are
-/// byte-identical either way, and byte-identical to run_trace.
-///
-/// The source must be positioned at its start. Each pass after the first
-/// (warmup passes plus the measured pass) rewinds the source, so multi-pass
-/// replay needs a rewindable source; `warmup_passes == 0` performs a single
-/// forward pass and works on non-seekable streams too.
-///
-/// Throws std::invalid_argument when the source yields no accesses.
+/// Throws std::invalid_argument when the source yields no accesses — bad
+/// input, not a logic error, so the sweep runner reports it as a per-job
+/// failure.
 RunResult run_blocks(policy::HybridPolicy& policy, trace::BlockSource& source,
                      double duration_s, unsigned warmup_passes = 0,
-                     obs::RunObserver* observer = nullptr);
-
-/// Streaming variant: pulls records from a chunked stream reader
-/// (constant memory — for captures too large to materialize). No warmup
-/// support: streams are single-pass. Throws std::invalid_argument when the
-/// stream yields no accesses.
-RunResult run_stream(policy::HybridPolicy& policy,
-                     trace::StreamTraceReader& reader, double duration_s,
                      obs::RunObserver* observer = nullptr);
 
 }  // namespace hymem::sim

@@ -11,7 +11,7 @@
 #include "sample/sampled_policy.hpp"
 #include "sim/policy_factory.hpp"
 #include "synth/generator.hpp"
-#include "trace/interner.hpp"
+#include "trace/block_source.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/check.hpp"
 
@@ -91,26 +91,6 @@ class QuiescedObserver final : public obs::RunObserver {
   obs::RunObserver& inner_;
 };
 
-// One engine invocation, routed by config: the historical run_trace
-// reference loop when neither chunking nor exact sharding is requested,
-// otherwise the block engine over a decode-once source (chunk_accesses per
-// block, decode striped across `shards` workers in exact mode). The routes
-// are byte-identical — test_stream_parity and the CI smokes gate it — so
-// the choice is purely a throughput/memory knob.
-RunResult engine_run(policy::HybridPolicy& policy, const trace::Trace& trace,
-                     double duration_s, unsigned warmup_passes,
-                     const ExperimentConfig& config,
-                     obs::RunObserver* observer) {
-  if (config.chunk_accesses == 0 && config.shards <= 1) {
-    return run_trace(policy, trace, duration_s, warmup_passes, observer);
-  }
-  trace::TraceBlockSource source(
-      trace, config.page_size,
-      static_cast<std::size_t>(config.chunk_accesses),
-      config.shard_mode == ShardMode::kExact ? config.shards : 1);
-  return run_blocks(policy, source, duration_s, warmup_passes, observer);
-}
-
 // Measured pass with the observers the run needs on the engine's single
 // seam: the sampling tap (always, for sampled policies — without it the
 // policy never migrates), plus an EpochSampler when the config asks for a
@@ -119,6 +99,7 @@ RunResult engine_run(policy::HybridPolicy& policy, const trace::Trace& trace,
 RunResult measured_run(policy::HybridPolicy& policy, const trace::Trace& trace,
                        double duration_s, unsigned warmup_passes,
                        const ExperimentConfig& config) {
+  trace::TraceBlockSource source(trace, config.page_size);
   auto* sampled = dynamic_cast<sample::SampledLruPolicy*>(&policy);
   obs::RunObserver* tap = sampled != nullptr ? &sampled->tap() : nullptr;
 
@@ -134,8 +115,7 @@ RunResult measured_run(policy::HybridPolicy& policy, const trace::Trace& trace,
   };
 
   if (config.timeline_epoch == 0) {
-    return finish(
-        engine_run(policy, trace, duration_s, warmup_passes, config, tap));
+    return finish(run_blocks(policy, source, duration_s, warmup_passes, tap));
   }
   // The sampler reads scheme internals (windows, thresholds) only when the
   // policy actually is the two-LRU scheme; single-tier baselines still get
@@ -157,7 +137,7 @@ RunResult measured_run(policy::HybridPolicy& policy, const trace::Trace& trace,
     observer = &*tee;
   }
   RunResult result =
-      engine_run(policy, trace, duration_s, warmup_passes, config, observer);
+      run_blocks(policy, source, duration_s, warmup_passes, observer);
   result.timeline = sampler.take_timeline();
   return finish(result);
 }
@@ -170,9 +150,9 @@ RunResult run_experiment(const trace::Trace& trace, double duration_s,
   os::Vmm vmm(vmm_config_for(sizing, config));
   const auto policy =
       make_policy(config.policy, vmm, config.migration, config.sample);
-  // Note: run_trace's internal warmup passes bypass the observer seam, so
-  // on this single-trace path a sampled policy warms up placement (demand
-  // faults) but not hotness. The two-trace variant below warms both.
+  // Note: run_blocks's warmup passes bypass the observer seam, so on this
+  // single-trace path a sampled policy warms up placement (demand faults)
+  // but not hotness. The two-trace variant below warms both.
   return measured_run(*policy, trace, duration_s, config.warmup_passes, config);
 }
 
@@ -184,30 +164,21 @@ RunResult run_experiment(const trace::Trace& warmup,
   const auto policy =
       make_policy(config.policy, vmm, config.migration, config.sample);
   // Sampled policies learn hotness through their tap, which normally rides
-  // the engine's observer seam; this hand-rolled warmup loop feeds it
-  // directly so the measured pass starts from a warmed hotness board, not
-  // just warmed placement.
+  // the measured pass's observer seam; the warmup passes hand it to
+  // replay_pass too, so the measured pass starts from a warmed hotness
+  // board, not just warmed placement.
   auto* sampled_policy = dynamic_cast<sample::SampledLruPolicy*>(policy.get());
   obs::RunObserver* warm_tap =
       sampled_policy != nullptr ? &sampled_policy->tap() : nullptr;
-  // Decode the warmup trace once and replay the cached page sequence for
-  // every pass (the measured trace is decoded inside run_trace).
-  const trace::PageIdInterner interner(warmup, config.page_size);
-  const std::span<const PageId> pages = interner.pages();
-  const std::span<const trace::MemAccess> accesses = warmup.accesses();
-  constexpr std::size_t kPrefetchDistance = 8;
-  for (unsigned pass = 0; pass < std::max(1u, config.warmup_passes); ++pass) {
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-      if (i + kPrefetchDistance < pages.size()) {
-        policy->prefetch(pages[i + kPrefetchDistance]);
-      }
-      const Nanoseconds latency = policy->on_access(pages[i], accesses[i].type);
-      if (warm_tap != nullptr) {
-        warm_tap->on_access(pages[i], accesses[i].type, latency);
-      }
+  {
+    trace::TraceBlockSource source(warmup, config.page_size);
+    for (unsigned pass = 0; pass < std::max(1u, config.warmup_passes);
+         ++pass) {
+      if (pass > 0) source.rewind();
+      replay_pass(*policy, source, warm_tap);
     }
   }
-  // The warmup loop above fed the tap, so a threaded migrator may be
+  // The warmup passes above fed the tap, so a threaded migrator may be
   // mid-migration right now: reset the ledgers under its serving mutex.
   if (sampled_policy != nullptr) {
     sampled_policy->quiesced([&vmm] { vmm.reset_accounting(); });

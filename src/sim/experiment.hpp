@@ -19,23 +19,6 @@
 
 namespace hymem::sim {
 
-/// How `ExperimentConfig::shards > 1` parallelizes one run.
-enum class ShardMode {
-  /// Shards stripe the *decode* stage (page shift + hash mixer) and replay
-  /// stays a single serial policy pass over the decoded blocks — results
-  /// are byte-identical to the serial engine for any shard count. The
-  /// default, and the mode the CI determinism smokes gate.
-  kExact,
-  /// Pages are hash-partitioned across `shards` independent policy
-  /// instances, each with a proportional slice of the DRAM/NVM budget, and
-  /// the per-shard results are merged deterministically (shard-index
-  /// order). Deterministic for a fixed shard count but an approximation of
-  /// the global policy: shard-local LRU cannot see cross-shard recency.
-  /// Executed by runner::run_sharded_experiment (the runner layer owns the
-  /// thread pool).
-  kPartitioned,
-};
-
 /// One experiment = one (policy, sizing, workload) run.
 struct ExperimentConfig {
   std::string policy = "two-lru";
@@ -55,22 +38,20 @@ struct ExperimentConfig {
   mem::TransferMode transfer_mode = mem::TransferMode::kDma;
   bool wear_leveling = false;
   /// Uncounted replays of the trace before the measured pass (steady-state
-  /// measurement; see run_trace).
+  /// measurement; see run_blocks).
   unsigned warmup_passes = 1;
   /// When nonzero, the measured pass samples an epoch time-series every
   /// `timeline_epoch` accesses into RunResult::timeline (obs::EpochSampler).
   /// Zero (the default) keeps the replay loop uninstrumented.
   std::uint64_t timeline_epoch = 0;
-  /// When nonzero, replay goes through the block engine (sim::run_blocks)
-  /// in blocks of this many accesses instead of the one-access-at-a-time
-  /// reference loop. Results are byte-identical for any value; 0 keeps the
-  /// historical run_trace path.
-  std::uint64_t chunk_accesses = 0;
-  /// Workers for one run (1 = serial). Interpretation depends on
-  /// `shard_mode`; byte-identity across shard counts holds only for
-  /// ShardMode::kExact.
+  /// Partitioned shards for one run (1 = serial). With K > 1, pages are
+  /// hash-partitioned across K independent policy instances, each with a
+  /// proportional slice of the DRAM/NVM budget, and the per-shard results
+  /// are merged in shard-index order: deterministic for a fixed K, but an
+  /// approximation of the global policy (shard-local LRU cannot see
+  /// cross-shard recency). Executed by runner::run_sharded_experiment (the
+  /// runner layer owns the thread pool).
   unsigned shards = 1;
-  ShardMode shard_mode = ShardMode::kExact;
 };
 
 /// Memory sizing derived from a trace's footprint.

@@ -371,7 +371,7 @@ Nanoseconds TenantGroup::serve(std::uint32_t tenant,
   TenantState* state = find_state(tenant);
   if (state == nullptr || !state->active) {
     arrive(tenant);
-    state = find_state(tenant);
+    state = &state_of(tenant);
   }
   Shard& shard = shards_[state->shard];
   HYMEM_CHECK(shard.policy != nullptr);

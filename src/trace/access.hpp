@@ -1,6 +1,7 @@
 // The unit record of every hymem pipeline: one main-memory request.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/types.hpp"
@@ -19,6 +20,18 @@ struct MemAccess {
   std::uint8_t core = 0;
 
   friend bool operator==(const MemAccess&, const MemAccess&) = default;
+};
+
+/// One decoded block of replay work, the unit a BlockSource produces and a
+/// policy's on_block consumes: parallel arrays of page IDs, access types and
+/// memoized hash_page_id(pages[i]) — the decode stage runs the mixer once
+/// per access so the policy's map probes never rerun it. Views into
+/// producer-owned storage, valid until the producer's next next()/rewind().
+struct DecodedBlock {
+  const PageId* pages = nullptr;
+  const AccessType* types = nullptr;
+  const std::uint64_t* hashes = nullptr;
+  std::size_t size = 0;
 };
 
 /// Page containing an address for a power-of-two page size.

@@ -1,66 +1,43 @@
 #include "trace/block_source.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.hpp"
-#include "util/flat_page_map.hpp"
 
 namespace hymem::trace {
 
-TraceBlockSource::TraceBlockSource(const Trace& trace, std::uint64_t page_size,
-                                   std::size_t block_accesses,
-                                   unsigned decode_workers)
-    : name_(trace.name()),
-      page_size_(page_size),
-      block_accesses_(block_accesses) {
+BlockBuffer::BlockBuffer(std::uint64_t page_size, std::size_t capacity)
+    : page_size_(page_size),
+      shift_(std::has_single_bit(page_size) ? std::countr_zero(page_size)
+                                            : -1) {
   HYMEM_CHECK_MSG(page_size > 0, "page size must be positive");
-  const std::span<const MemAccess> accesses = trace.accesses();
-  const std::size_t n = accesses.size();
-  if (n > 0) {
+  if (capacity > 0) {
     // Guarded: GCC 12's -Wnull-dereference misfires on resize(0) at -O3.
-    pages_.resize(n);
-    types_.resize(n);
-    hashes_.resize(n);
+    pages_.resize(capacity);
+    types_.resize(capacity);
+    hashes_.resize(capacity);
   }
-  const auto decode_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const PageId page = page_of(accesses[i].addr, page_size_);
-      pages_[i] = page;
-      types_[i] = accesses[i].type;
-      hashes_[i] = util::hash_page_id(page);
-    }
-  };
-  const unsigned workers =
-      n == 0 ? 1
-             : static_cast<unsigned>(std::min<std::size_t>(
-                   std::max(1u, decode_workers), n));
-  if (workers <= 1) {
-    decode_range(0, n);
-    return;
-  }
-  // Contiguous stripes, one per worker: every element is written by exactly
-  // one thread and the result is independent of scheduling — decode
-  // parallelism can never perturb replay output.
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  const std::size_t stride = (n + workers - 1) / workers;
-  for (unsigned w = 0; w < workers; ++w) {
-    const std::size_t begin = std::min<std::size_t>(w * stride, n);
-    const std::size_t end = std::min<std::size_t>(begin + stride, n);
-    threads.emplace_back(decode_range, begin, end);
-  }
-  for (std::thread& t : threads) t.join();
 }
 
+TraceBlockSource::TraceBlockSource(const Trace& trace, std::uint64_t page_size,
+                                   std::size_t block_accesses)
+    : name_(trace.name()),
+      page_size_(page_size),
+      accesses_(trace.accesses()),
+      buffer_(page_size, block_accesses == 0
+                             ? accesses_.size()
+                             : std::min(block_accesses, accesses_.size())) {}
+
 const DecodedBlock* TraceBlockSource::next() {
-  if (cursor_ >= pages_.size()) return nullptr;
+  if (cursor_ >= accesses_.size()) return nullptr;
   const std::size_t n =
-      block_accesses_ == 0
-          ? pages_.size() - cursor_
-          : std::min(block_accesses_, pages_.size() - cursor_);
-  view_ = {pages_.data() + cursor_, types_.data() + cursor_,
-           hashes_.data() + cursor_, n};
+      std::min(buffer_.capacity(), accesses_.size() - cursor_);
+  for (std::size_t i = 0; i < n; ++i) {
+    buffer_.decode(i, accesses_[cursor_ + i]);
+  }
   cursor_ += n;
+  view_ = buffer_.view(n);
   return &view_;
 }
 
@@ -69,15 +46,10 @@ StreamBlockSource::StreamBlockSource(std::istream& in, std::uint64_t page_size,
                                      bool readahead)
     : reader_(in),
       page_size_(page_size),
-      block_accesses_(block_accesses),
-      readahead_(readahead) {
-  HYMEM_CHECK_MSG(page_size > 0, "page size must be positive");
+      readahead_(readahead),
+      buffers_{{BlockBuffer(page_size, block_accesses)},
+               {BlockBuffer(page_size, block_accesses)}} {
   HYMEM_CHECK_MSG(block_accesses > 0, "block size must be positive");
-  for (Buffer& buf : buffers_) {
-    buf.pages.resize(block_accesses);
-    buf.types.resize(block_accesses);
-    buf.hashes.resize(block_accesses);
-  }
   if (readahead_) start_producer();
 }
 
@@ -85,17 +57,13 @@ StreamBlockSource::~StreamBlockSource() { stop_producer(); }
 
 void StreamBlockSource::fill(Buffer& buf) {
   std::size_t n = 0;
-  while (n < block_accesses_) {
+  while (n < buf.decoded.capacity()) {
     const auto access = reader_.next();
     if (!access.has_value()) {
       buf.eof = true;
       break;
     }
-    const PageId page = page_of(access->addr, page_size_);
-    buf.pages[n] = page;
-    buf.types[n] = access->type;
-    buf.hashes[n] = util::hash_page_id(page);
-    ++n;
+    buf.decoded.decode(n++, *access);
   }
   buf.size = n;
 }
@@ -153,7 +121,7 @@ const DecodedBlock* StreamBlockSource::next() {
     fill(buf);
     if (buf.eof) finished_ = true;
     if (buf.size == 0) return nullptr;
-    view_ = {buf.pages.data(), buf.types.data(), buf.hashes.data(), buf.size};
+    view_ = buf.decoded.view(buf.size);
     holding_ = static_cast<int>(consume_index_);
     consume_index_ ^= 1;
     return &view_;
@@ -180,7 +148,7 @@ const DecodedBlock* StreamBlockSource::next() {
     buf.filled = false;
     return nullptr;
   }
-  view_ = {buf.pages.data(), buf.types.data(), buf.hashes.data(), buf.size};
+  view_ = buf.decoded.view(buf.size);
   holding_ = static_cast<int>(consume_index_);
   consume_index_ ^= 1;
   return &view_;

@@ -1,20 +1,17 @@
-// Block sources: the decoded-block ingest layer of the streaming replay
-// engine.
+// Block sources: the decoded-block ingest layer of the replay engine.
 //
-// The engine's unit of work is a DecodedBlock — parallel arrays of page IDs,
-// access types and memoized page-ID hashes. A BlockSource produces the run's
-// blocks in trace order and can rewind for warmup passes; the engine never
-// sees raw byte addresses, so decode cost (the page shift and the hash
-// mixer) is paid where the source can amortize or hide it:
+// The engine's unit of work is a DecodedBlock (trace/access.hpp) — parallel
+// arrays of page IDs, access types and memoized page-ID hashes. A
+// BlockSource produces the run's blocks in trace order and can rewind for
+// warmup passes; the engine never sees raw byte addresses. Both sources
+// decode through one BlockBuffer (page shift + hash mixer) into storage
+// reused block after block, so replay memory is O(block) on either path:
 //
-//   * TraceBlockSource decodes a materialized trace exactly once, at
-//     construction (optionally striped across worker threads), and serves
-//     every pass from the cached arrays — the multi-pass replay loop does
-//     zero decode work.
-//   * StreamBlockSource pulls the chunked stream_io format and holds only
-//     two blocks of memory: with readahead on, a producer thread decodes
-//     block N+1 while the consumer replays block N (double buffering), so
-//     run memory is O(chunk) for captures too large to materialize.
+//   * TraceBlockSource walks a materialized trace and decodes the next
+//     window on every next() — no per-access arrays beside the trace.
+//   * StreamBlockSource pulls the chunked stream_io format: with readahead
+//     on, a producer thread decodes block N+1 while the consumer replays
+//     block N (double buffering), for captures too large to materialize.
 //
 // Both sources emit identical block sequences for the same input, so every
 // consumer downstream of this seam is byte-identical across ingest modes —
@@ -26,23 +23,50 @@
 #include <exception>
 #include <iosfwd>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "trace/access.hpp"
 #include "trace/stream_io.hpp"
 #include "trace/trace.hpp"
+#include "util/flat_page_map.hpp"
 #include "util/types.hpp"
 
 namespace hymem::trace {
 
-/// One decoded block of replay work. Views into source-owned storage, valid
-/// until the next next()/rewind() on the producing source.
-struct DecodedBlock {
-  const PageId* pages = nullptr;
-  const AccessType* types = nullptr;
-  const std::uint64_t* hashes = nullptr;  ///< hash_page_id(pages[i]), memoized.
-  std::size_t size = 0;
+/// Default block size of both sources: 64 Ki accesses (~1 MiB decoded).
+inline constexpr std::size_t kDefaultBlockAccesses = std::size_t{1} << 16;
+
+/// Reused decode storage for one block. decode() writes one slot: the page
+/// (a shift for power-of-two page sizes, as PageIdInterner does, otherwise
+/// page_of's division), the type and the memoized hash.
+class BlockBuffer {
+ public:
+  BlockBuffer(std::uint64_t page_size, std::size_t capacity);
+
+  std::size_t capacity() const { return pages_.size(); }
+
+  void decode(std::size_t slot, const MemAccess& access) {
+    const PageId page =
+        shift_ >= 0 ? access.addr >> shift_ : page_of(access.addr, page_size_);
+    pages_[slot] = page;
+    types_[slot] = access.type;
+    hashes_[slot] = util::hash_page_id(page);
+  }
+
+  /// The first `size` decoded slots.
+  DecodedBlock view(std::size_t size) const {
+    return {pages_.data(), types_.data(), hashes_.data(), size};
+  }
+
+ private:
+  std::uint64_t page_size_;
+  int shift_;  ///< log2(page_size_), or -1 when it is not a power of two.
+  std::vector<PageId> pages_;
+  std::vector<AccessType> types_;
+  std::vector<std::uint64_t> hashes_;
 };
 
 /// Produces a run's decoded blocks in trace order.
@@ -61,31 +85,28 @@ class BlockSource {
   virtual void rewind() = 0;
 };
 
-/// Decode-once source over a materialized trace. Construction decodes every
-/// access (page shift + hash mixer) into cached arrays — striped across
-/// `decode_workers` threads when > 1, with each worker writing a disjoint
-/// range, so the arrays are byte-identical for any worker count. next()
-/// serves successive `block_accesses`-sized windows of the cache.
+/// Bounded-decode source over a materialized trace: next() decodes the next
+/// `block_accesses`-sized window into one reused BlockBuffer, so the source
+/// holds O(block) memory however long the trace is. `trace` must outlive
+/// the source.
 class TraceBlockSource final : public BlockSource {
  public:
   /// `block_accesses` 0 serves the whole trace as a single block.
   TraceBlockSource(const Trace& trace, std::uint64_t page_size,
-                   std::size_t block_accesses = 0, unsigned decode_workers = 1);
+                   std::size_t block_accesses = kDefaultBlockAccesses);
 
   const std::string& name() const override { return name_; }
   std::uint64_t page_size() const override { return page_size_; }
   const DecodedBlock* next() override;
   void rewind() override { cursor_ = 0; }
 
-  std::size_t total_accesses() const { return pages_.size(); }
+  std::size_t total_accesses() const { return accesses_.size(); }
 
  private:
   std::string name_;
   std::uint64_t page_size_;
-  std::size_t block_accesses_;
-  std::vector<PageId> pages_;
-  std::vector<AccessType> types_;
-  std::vector<std::uint64_t> hashes_;
+  std::span<const MemAccess> accesses_;
+  BlockBuffer buffer_;
   std::size_t cursor_ = 0;
   DecodedBlock view_;
 };
@@ -101,7 +122,7 @@ class StreamBlockSource final : public BlockSource {
  public:
   /// `in` must outlive the source; rewind() requires it to be seekable.
   StreamBlockSource(std::istream& in, std::uint64_t page_size,
-                    std::size_t block_accesses = std::size_t{1} << 16,
+                    std::size_t block_accesses = kDefaultBlockAccesses,
                     bool readahead = true);
   ~StreamBlockSource() override;
 
@@ -113,9 +134,7 @@ class StreamBlockSource final : public BlockSource {
  private:
   /// One half of the double buffer.
   struct Buffer {
-    std::vector<PageId> pages;
-    std::vector<AccessType> types;
-    std::vector<std::uint64_t> hashes;
+    BlockBuffer decoded;
     std::size_t size = 0;
     bool filled = false;  ///< Producer wrote it; consumer has not taken it.
     bool eof = false;     ///< No records behind this buffer's contents.
@@ -130,7 +149,6 @@ class StreamBlockSource final : public BlockSource {
 
   StreamTraceReader reader_;
   std::uint64_t page_size_;
-  std::size_t block_accesses_;
   bool readahead_;
 
   Buffer buffers_[2];

@@ -1,5 +1,6 @@
 #include "trace/stream_io.hpp"
 
+#include <algorithm>
 #include <array>
 #include <istream>
 #include <ostream>
@@ -20,6 +21,29 @@ void put(std::ostream& out, T value) {
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> bytes_remaining(std::istream& in) {
+  const auto here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return std::nullopt;
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || end < here) return std::nullopt;
+  return static_cast<std::uint64_t>(end - here);
+}
+
+bool read_bytes(std::istream& in, std::uint64_t len, std::string& out) {
+  constexpr std::uint64_t kSlice = 1 << 16;
+  out.clear();
+  while (out.size() < len) {
+    const std::size_t at = out.size();
+    const auto piece = static_cast<std::size_t>(std::min(len - at, kSlice));
+    out.resize(at + piece);
+    in.read(out.data() + at, static_cast<std::streamsize>(piece));
+    if (!in) return false;
+  }
+  return true;
+}
 
 StreamTraceWriter::StreamTraceWriter(std::ostream& out, std::string name,
                                      std::size_t chunk_records)
@@ -88,12 +112,15 @@ StreamTraceReader::StreamTraceReader(std::istream& in) : in_(in) {
                              std::to_string(version) + " at byte 4");
   }
   const auto name_len = take<std::uint32_t>("name length");
-  name_.resize(name_len);
-  in_.read(name_.data(), name_len);
-  if (!in_) {
-    throw std::runtime_error("hymem stream trace: truncated name at byte " +
-                             std::to_string(offset_));
+  const std::string truncated =
+      "hymem stream trace: truncated name at byte " + std::to_string(offset_);
+  const std::optional<std::uint64_t> remaining = bytes_remaining(in_);
+  if (remaining && name_len > *remaining) {
+    throw std::runtime_error(truncated + ": name length " +
+                             std::to_string(name_len) + " (byte 8) exceeds the " +
+                             std::to_string(*remaining) + " bytes remaining");
   }
+  if (!read_bytes(in_, name_len, name_)) throw std::runtime_error(truncated);
   offset_ += name_len;
   data_offset_ = offset_;
 }
@@ -116,21 +143,16 @@ bool StreamTraceReader::load_chunk() {
                               " records starting at byte " +
                               std::to_string(header_offset) + ")");
   };
-  const auto here = in_.tellg();
-  if (here != std::istream::pos_type(-1)) {
-    in_.seekg(0, std::ios::end);
-    const auto end = in_.tellg();
-    in_.seekg(here);
-    if (end != std::istream::pos_type(-1) &&
-        static_cast<std::uint64_t>(end - here) < count * kRecordBytes) {
-      throw chunk_error("chunk header claims " +
-                        std::to_string(count * kRecordBytes) +
-                        " record bytes but only " +
-                        std::to_string(static_cast<std::uint64_t>(end - here)) +
-                        " remain");
-    }
+  const std::optional<std::uint64_t> remaining = bytes_remaining(in_);
+  if (remaining && *remaining < count * kRecordBytes) {
+    throw chunk_error("chunk header claims " +
+                      std::to_string(count * kRecordBytes) +
+                      " record bytes but only " + std::to_string(*remaining) +
+                      " remain");
   }
-  chunk_.reserve(count);
+  // A count checked against the bytes remaining is safe to reserve; on a
+  // pipe the chunk grows with the records that actually arrive.
+  if (remaining) chunk_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const auto addr = take<std::uint64_t>("record address");
     const auto type = take<std::uint8_t>("record type");

@@ -23,6 +23,17 @@ namespace hymem::trace {
 
 inline constexpr std::uint32_t kStreamFormatVersion = 1;
 
+/// Bytes between `in`'s read position and its end, or nullopt when `in`
+/// cannot seek (a pipe). The binary readers (this format and trace_io's)
+/// bound every header-declared length with it before allocating, so a
+/// corrupt header fails with a named error instead of a huge allocation.
+std::optional<std::uint64_t> bytes_remaining(std::istream& in);
+
+/// Reads exactly `len` bytes into `out`, growing it one bounded slice at a
+/// time so an overstated length on a non-seekable stream allocates at most
+/// one slice past the bytes actually present. False when `in` ends early.
+bool read_bytes(std::istream& in, std::uint64_t len, std::string& out);
+
 /// Appends records to a chunked stream; finish() writes the terminator.
 class StreamTraceWriter {
  public:

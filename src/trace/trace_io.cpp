@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "trace/stream_io.hpp"
+
 namespace hymem::trace {
 
 namespace {
@@ -56,13 +58,33 @@ Trace read_binary(std::istream& in) {
     throw std::runtime_error("hymem trace: unsupported version " +
                              std::to_string(version));
   }
+  // Fixed header layout: magic (4) | version (4) | name_len (4) at byte 8 |
+  // name at byte 12 | u64 count | count * 10-byte records.
   const auto name_len = take<std::uint32_t>(in);
-  std::string name(name_len, '\0');
-  in.read(name.data(), name_len);
-  if (!in) throw std::runtime_error("hymem trace: truncated name");
+  const std::string truncated = "hymem trace: truncated name at byte 12";
+  const std::optional<std::uint64_t> name_room = bytes_remaining(in);
+  if (name_room && name_len > *name_room) {
+    throw std::runtime_error(truncated + ": name length " +
+                             std::to_string(name_len) + " (byte 8) exceeds the " +
+                             std::to_string(*name_room) + " bytes remaining");
+  }
+  std::string name;
+  if (!read_bytes(in, name_len, name)) throw std::runtime_error(truncated);
+  const std::uint64_t count_offset = 12 + std::uint64_t{name_len};
   const auto count = take<std::uint64_t>(in);
+  constexpr std::uint64_t kRecordBytes = sizeof(std::uint64_t) + 2;
+  const std::optional<std::uint64_t> record_room = bytes_remaining(in);
+  if (record_room && count > *record_room / kRecordBytes) {
+    throw std::runtime_error(
+        "hymem trace: record count " + std::to_string(count) + " at byte " +
+        std::to_string(count_offset) + " needs " +
+        std::to_string(kRecordBytes) + " bytes per record but only " +
+        std::to_string(*record_room) + " bytes remain");
+  }
   Trace trace(std::move(name));
-  trace.reserve(count);
+  // A count checked against the bytes remaining is safe to reserve; on a
+  // pipe the trace grows with the records that actually arrive.
+  if (record_room) trace.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto addr = take<std::uint64_t>(in);
     const auto type = take<std::uint8_t>(in);

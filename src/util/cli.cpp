@@ -1,8 +1,34 @@
 #include "util/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
+#include <system_error>
+#include <type_traits>
 
 namespace hymem {
+
+namespace {
+
+/// Parses all of `text` as a T, or throws std::invalid_argument naming the
+/// flag: no sign for unsigned types, no trailing characters, no overflow,
+/// no infinities or NaN.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text,
+               const char* kind) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool finite = true;
+  if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(value);
+  if (text.empty() || ec != std::errc{} || ptr != end || !finite) {
+    throw std::invalid_argument("--" + name + " expects " + kind + ", got '" +
+                                text + "'");
+  }
+  return value;
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -40,17 +66,23 @@ std::string CliArgs::get(const std::string& name, const std::string& def) const 
 
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t def) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::stoll(it->second);
+  return it == flags_.end()
+             ? def
+             : parse_number<std::int64_t>(name, it->second, "an integer");
 }
 
 std::uint64_t CliArgs::get_uint(const std::string& name, std::uint64_t def) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::stoull(it->second);
+  return it == flags_.end() ? def
+                            : parse_number<std::uint64_t>(
+                                  name, it->second, "an unsigned integer");
 }
 
 double CliArgs::get_double(const std::string& name, double def) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::stod(it->second);
+  return it == flags_.end()
+             ? def
+             : parse_number<double>(name, it->second, "a number");
 }
 
 bool CliArgs::get_bool(const std::string& name, bool def) const {

@@ -23,7 +23,10 @@ class CliArgs {
   /// harnesses diff this against their known-flag list).
   std::vector<std::string> flag_names() const;
 
-  /// Returns the flag's value, or `def` when absent.
+  /// Returns the flag's value, or `def` when absent. The numeric getters
+  /// parse the whole value strictly and throw std::invalid_argument naming
+  /// the flag on anything else: trailing characters, a sign on an unsigned
+  /// flag, or a value out of the type's range.
   std::string get(const std::string& name, const std::string& def = "") const;
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   std::uint64_t get_uint(const std::string& name, std::uint64_t def) const;

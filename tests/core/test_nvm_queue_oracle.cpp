@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -157,8 +158,13 @@ INSTANTIATE_TEST_SUITE_P(
                       WindowParams{0.0, 1.0}),
     [](const auto& param_info) {
       const auto& p = param_info.param;
-      return "r" + std::to_string(static_cast<int>(p.read_perc * 100)) + "_w" +
-             std::to_string(static_cast<int>(p.write_perc * 100));
+      // Appended piecewise: GCC 12's -Wrestrict misfires on
+      // `const char* + std::string&&` at -O3.
+      std::string name = "r";
+      name += std::to_string(static_cast<int>(p.read_perc * 100));
+      name += "_w";
+      name += std::to_string(static_cast<int>(p.write_perc * 100));
+      return name;
     });
 
 }  // namespace

@@ -1,13 +1,12 @@
-// End-to-end parity of the streaming/block/sharded replay engines against
-// the serial reference engine (the ISSUE.md acceptance gates):
+// End-to-end parity and memory bounds of the block replay engine:
 //
-//   * every ingest mode (cached blocks, striped decode, HYTS stream with
-//     and without readahead) reproduces the reference RunResult bytes on
-//     hostile fuzz scenarios;
-//   * --chunk-accesses and exact-mode --shards leave the full sweep CSV and
-//     the epoch timeline CSV byte-identical for any value;
-//   * replaying a stream far larger than the chunk budget keeps peak RSS
-//     O(chunk), not O(trace).
+//   * every ingest mode (bounded-decode blocks over a materialized trace,
+//     HYTS stream with and without readahead) reproduces the per-access
+//     reference RunResult bytes on hostile fuzz scenarios;
+//   * replaying a stream far larger than the block budget keeps peak RSS
+//     O(block), not O(trace);
+//   * run_experiment over a large materialized trace grows peak RSS by
+//     O(block), not by a decoded array per access.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,9 +17,8 @@
 #include "check/stream_parity.hpp"
 #include "core/migration_scheme.hpp"
 #include "os/vmm.hpp"
-#include "runner/sweep.hpp"
 #include "sim/engine.hpp"
-#include "synth/workload_profile.hpp"
+#include "sim/experiment.hpp"
 #include "trace/block_source.hpp"
 #include "trace/stream_io.hpp"
 
@@ -36,40 +34,6 @@ TEST(StreamParity, FuzzScenariosMatchAcrossEveryIngestMode) {
     EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.divergence;
     EXPECT_GT(report.accesses, 0u);
   }
-}
-
-/// One tiny sweep (workload × policies) serialized as results CSV plus
-/// timeline CSV — the exact bytes the CI determinism smokes diff.
-std::string sweep_bytes(std::uint64_t chunk_accesses, unsigned shards) {
-  runner::SweepSpec spec;
-  spec.workloads = {synth::parsec_profile("streamcluster")};
-  spec.policies = {"two-lru", "clock-dwf"};
-  spec.scale = 512;
-  runner::ConfigVariant variant;
-  variant.config.timeline_epoch = 512;
-  variant.config.chunk_accesses = chunk_accesses;
-  variant.config.shards = shards;
-  variant.config.shard_mode = sim::ShardMode::kExact;
-  spec.variants = {variant};
-  runner::SweepOptions options;
-  options.jobs = 1;
-  const auto sweep = runner::run_sweep(spec, options);
-  EXPECT_EQ(sweep.failures(), 0u);
-  std::ostringstream csv;
-  sweep.write_csv(csv);
-  const std::size_t rows = sweep.write_timeline_csv(csv);
-  EXPECT_GT(rows, 0u);
-  return csv.str();
-}
-
-TEST(StreamParity, ChunkAndExactShardsKeepSweepCsvByteIdentical) {
-  const std::string reference = sweep_bytes(/*chunk_accesses=*/0, /*shards=*/1);
-  EXPECT_EQ(sweep_bytes(1, 1), reference) << "one-access blocks";
-  EXPECT_EQ(sweep_bytes(777, 1), reference) << "odd block size";
-  EXPECT_EQ(sweep_bytes(1 << 20, 1), reference) << "whole-trace block";
-  EXPECT_EQ(sweep_bytes(4096, 2), reference) << "2 exact shards";
-  EXPECT_EQ(sweep_bytes(4096, 7), reference) << "7 exact shards";
-  EXPECT_EQ(sweep_bytes(0, 5), reference) << "shards without chunking";
 }
 
 /// VmHWM ("peak RSS") in bytes from /proc/self/status.
@@ -154,6 +118,33 @@ TEST(StreamParity, StreamedReplayPeakMemoryIsBoundedByChunkNotTrace) {
   // O(chunk) head-room budget: far below the ~100 MB a materialized replay
   // of this trace costs, far above the ~1 MB the double buffer needs.
   EXPECT_LT(after - before, 16u << 20)
+      << "peak grew by " << (after - before) / 1024 << " KiB";
+}
+
+TEST(StreamParity, MaterializedRunPeakMemoryIsBoundedByBlockNotTrace) {
+  // 2M accesses: the materialized trace itself is ~32 MB (allocated before
+  // the measurement window). A replay that decoded it whole would add
+  // 8-17 B per access (16-34 MB); bounded decode adds one ~1 MB block.
+  constexpr std::size_t kAccesses = 2'000'000;
+  trace::Trace trace;
+  trace.set_name("huge");
+  trace.reserve(kAccesses);
+  std::uint64_t addr = 0;
+  for (std::size_t i = 0; i < kAccesses; ++i) {
+    addr = (addr + 4096) % (64 * 4096);
+    trace.append({addr, i % 5 == 0 ? AccessType::kWrite : AccessType::kRead,
+                  0});
+  }
+  if (!reset_peak_rss()) {
+    GTEST_SKIP() << "kernel does not support resetting VmHWM";
+  }
+  const std::uint64_t before = peak_rss_bytes();
+  sim::ExperimentConfig config;
+  config.warmup_passes = 1;
+  const sim::RunResult result = sim::run_experiment(trace, 1.0, config);
+  const std::uint64_t after = peak_rss_bytes();
+  EXPECT_EQ(result.accesses, kAccesses);
+  EXPECT_LT(after - before, 8u << 20)
       << "peak grew by " << (after - before) / 1024 << " KiB";
 }
 

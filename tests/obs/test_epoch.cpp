@@ -31,13 +31,20 @@ os::VmmConfig hybrid_config() {
   return c;
 }
 
+/// The engine over a materialized trace with `observer` attached.
+sim::RunResult replay(policy::HybridPolicy& policy, const trace::Trace& trace,
+                      unsigned warmup_passes, RunObserver* observer) {
+  trace::TraceBlockSource source(trace, policy.vmm().config().page_size);
+  return sim::run_blocks(policy, source, 1.0, warmup_passes, observer);
+}
+
 sim::RunResult sampled_run(const trace::Trace& trace, std::uint64_t epoch) {
   os::Vmm vmm(hybrid_config());
   const auto policy = sim::make_policy("two-lru", vmm);
   EpochSampler sampler(
       epoch, vmm,
       dynamic_cast<const core::TwoLruMigrationPolicy*>(policy.get()), 1.0);
-  sim::RunResult result = sim::run_trace(*policy, trace, 1.0, 0, &sampler);
+  sim::RunResult result = replay(*policy, trace, 0, &sampler);
   result.timeline = sampler.take_timeline();
   return result;
 }
@@ -135,7 +142,7 @@ TEST(EpochSampler, ObserverSeesMeasuredPassOnly) {
       1000, vmm,
       dynamic_cast<const core::TwoLruMigrationPolicy*>(policy.get()), 1.0);
   const auto result =
-      sim::run_trace(*policy, trace, 1.0, /*warmup_passes=*/1, &sampler);
+      replay(*policy, trace, /*warmup_passes=*/1, &sampler);
   ASSERT_FALSE(sampler.timeline().empty());
   EXPECT_EQ(sampler.timeline().epochs.back().end_access, trace.size());
   expect_deltas_sum_to_totals(sampler.timeline(), result.counts);
@@ -148,7 +155,7 @@ TEST(EpochSampler, RegistryTracksAccessMix) {
   EpochSampler sampler(
       500, vmm,
       dynamic_cast<const core::TwoLruMigrationPolicy*>(policy.get()), 1.0);
-  sim::run_trace(*policy, trace, 1.0, 0, &sampler);
+  replay(*policy, trace, 0, &sampler);
   MetricsRegistry& registry = sampler.registry();
   const std::uint64_t reads = registry.counter("accesses.read").value;
   const std::uint64_t writes = registry.counter("accesses.write").value;
@@ -182,7 +189,7 @@ TEST(EpochSampler, SingleTierPolicyStillSamplesVmmColumns) {
   const auto policy = sim::make_policy("dram-only", vmm);
   EpochSampler sampler(1000, vmm, nullptr, 1.0);
   const auto trace = tiny_trace();
-  const auto result = sim::run_trace(*policy, trace, 1.0, 0, &sampler);
+  const auto result = replay(*policy, trace, 0, &sampler);
   ASSERT_EQ(sampler.timeline().epochs.size(), 4u);
   for (const EpochRecord& r : sampler.timeline().epochs) {
     EXPECT_EQ(r.read_window.pages, 0u);

@@ -26,7 +26,6 @@ synth::WorkloadProfile tiny_profile() {
 sim::ExperimentConfig partitioned_config(unsigned shards) {
   sim::ExperimentConfig config;
   config.shards = shards;
-  config.shard_mode = sim::ShardMode::kPartitioned;
   return config;
 }
 
@@ -87,17 +86,18 @@ TEST(Sharded, TimelineEpochsCoverEveryShard) {
 }
 
 TEST(Sharded, DispatchRoutesByModeAndCount) {
-  // Exact mode (any shard count) and a single shard both take the serial
-  // engine; the result must be byte-identical to the plain run_workload.
+  // One shard takes the serial engine, byte-identical to the plain
+  // run_workload; more than one takes the partitioned engine.
   sim::ExperimentConfig serial_config;
   const auto serial = sim::run_workload(tiny_profile(), kScale, serial_config);
-  sim::ExperimentConfig exact;
-  exact.shards = 4;
-  exact.shard_mode = sim::ShardMode::kExact;
-  EXPECT_EQ(sim::to_json(run_workload_dispatch(tiny_profile(), kScale, exact)),
+  EXPECT_EQ(sim::to_json(
+                run_workload_dispatch(tiny_profile(), kScale, serial_config)),
             sim::to_json(serial));
   const auto partitioned = run_workload_dispatch(tiny_profile(), kScale,
                                                  partitioned_config(2));
+  EXPECT_EQ(sim::to_json(partitioned),
+            sim::to_json(run_sharded_workload(tiny_profile(), kScale,
+                                              partitioned_config(2))));
   EXPECT_EQ(partitioned.accesses, serial.accesses);
 }
 

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "check/stream_parity.hpp"
 #include "sim/policy_factory.hpp"
 #include "synth/generator.hpp"
 
@@ -28,11 +29,19 @@ os::VmmConfig hybrid_config() {
   return c;
 }
 
+/// The engine over a materialized trace, in default-sized blocks.
+RunResult replay_trace(policy::HybridPolicy& policy,
+                       const trace::Trace& trace, double duration_s,
+                       unsigned warmup_passes = 0) {
+  trace::TraceBlockSource source(trace, policy.vmm().config().page_size);
+  return run_blocks(policy, source, duration_s, warmup_passes);
+}
+
 TEST(Engine, CountsCoverEveryAccess) {
   os::Vmm vmm(hybrid_config());
   const auto policy = make_policy("two-lru", vmm);
   const auto trace = tiny_trace();
-  const auto result = run_trace(*policy, trace, 1.0);
+  const auto result = replay_trace(*policy, trace, 1.0);
   EXPECT_EQ(result.accesses, trace.size());
   EXPECT_EQ(result.counts.hits() + result.counts.page_faults, trace.size());
   EXPECT_EQ(result.workload, "tiny");
@@ -54,7 +63,7 @@ TEST(Engine, VisibleLatencyEqualsModelAmat) {
     }
     os::Vmm vmm(cfg);
     const auto policy = make_policy(name, vmm);
-    const auto result = run_trace(*policy, tiny_trace(), 1.0);
+    const auto result = replay_trace(*policy, tiny_trace(), 1.0);
     const auto breakdown = result.amat();
     EXPECT_NEAR(result.visible_latency_ns,
                 breakdown.total() * static_cast<double>(result.accesses),
@@ -66,7 +75,7 @@ TEST(Engine, VisibleLatencyEqualsModelAmat) {
 TEST(Engine, DerivedMetricsAvailable) {
   os::Vmm vmm(hybrid_config());
   const auto policy = make_policy("two-lru", vmm);
-  const auto result = run_trace(*policy, tiny_trace(), 0.5);
+  const auto result = replay_trace(*policy, tiny_trace(), 0.5);
   EXPECT_GT(result.amat().total(), 0.0);
   EXPECT_GT(result.appr().total(), 0.0);
   EXPECT_GT(result.appr().static_nj, 0.0);
@@ -81,7 +90,7 @@ TEST(Engine, EmptyTraceRejected) {
   trace::Trace empty;
   // invalid_argument (bad input, catchable by the sweep runner), not the
   // HYMEM_CHECK logic_error that used to kill the whole process.
-  EXPECT_THROW(run_trace(*policy, empty, 1.0), std::invalid_argument);
+  EXPECT_THROW(replay_trace(*policy, empty, 1.0), std::invalid_argument);
 }
 
 
@@ -89,7 +98,7 @@ TEST(Engine, WarmupPassResetsAccountingButKeepsResidency) {
   os::Vmm vmm(hybrid_config());
   const auto policy = make_policy("two-lru", vmm);
   const auto trace = tiny_trace();
-  const auto result = run_trace(*policy, trace, 1.0, /*warmup_passes=*/1);
+  const auto result = replay_trace(*policy, trace, 1.0, /*warmup_passes=*/1);
   // Warmup faulted the cold pages; the measured pass starts warm, so its
   // fault count must be far below the footprint.
   EXPECT_LT(result.counts.page_faults, 32u);
@@ -101,7 +110,7 @@ TEST(Engine, WarmupReducesMeasuredFaults) {
   auto run_with = [&](unsigned warmup) {
     os::Vmm vmm(hybrid_config());
     const auto policy = make_policy("two-lru", vmm);
-    return run_trace(*policy, tiny_trace(), 1.0, warmup).counts.page_faults;
+    return replay_trace(*policy, tiny_trace(), 1.0, warmup).counts.page_faults;
   };
   EXPECT_LT(run_with(1), run_with(0));
 }
@@ -116,12 +125,12 @@ TEST(Engine, StreamedRunMatchesInMemoryRun) {
   }
   os::Vmm vmm_a(hybrid_config());
   const auto policy_a = make_policy("two-lru", vmm_a);
-  const auto in_memory = run_trace(*policy_a, trace, 1.0);
+  const auto in_memory = replay_trace(*policy_a, trace, 1.0);
 
   os::Vmm vmm_b(hybrid_config());
   const auto policy_b = make_policy("two-lru", vmm_b);
-  trace::StreamTraceReader reader(buf);
-  const auto streamed = run_stream(*policy_b, reader, 1.0);
+  trace::StreamBlockSource source(buf, vmm_b.config().page_size, 300);
+  const auto streamed = run_blocks(*policy_b, source, 1.0);
 
   EXPECT_EQ(streamed.accesses, in_memory.accesses);
   EXPECT_EQ(streamed.counts.page_faults, in_memory.counts.page_faults);
@@ -131,11 +140,13 @@ TEST(Engine, StreamedRunMatchesInMemoryRun) {
 }
 
 TEST(Engine, BlockRunMatchesReferenceRunExactly) {
+  // The engine against the plain per-access reference loop in check/.
   const auto trace = tiny_trace();
   for (const unsigned warmup : {0u, 1u, 2u}) {
     os::Vmm vmm_a(hybrid_config());
     const auto policy_a = make_policy("two-lru", vmm_a);
-    const auto reference = run_trace(*policy_a, trace, 1.0, warmup);
+    const auto reference =
+        check::replay_per_access(*policy_a, trace, 1.0, warmup);
 
     os::Vmm vmm_b(hybrid_config());
     const auto policy_b = make_policy("two-lru", vmm_b);
@@ -186,7 +197,7 @@ TEST(Engine, IntegratedTransferModeShortensVisibleLatency) {
     cfg.transfer_mode = mode;
     os::Vmm vmm(cfg);
     const auto policy = make_policy("clock-dwf", vmm);
-    return run_trace(*policy, tiny_trace(), 1.0);
+    return replay_trace(*policy, tiny_trace(), 1.0);
   };
   const auto dma = run_mode(mem::TransferMode::kDma);
   const auto integrated = run_mode(mem::TransferMode::kIntegrated);

@@ -86,20 +86,45 @@ TEST(TraceBlockSource, RewindRepeatsSequence) {
   EXPECT_EQ(first.block_sizes, second.block_sizes);
 }
 
-TEST(TraceBlockSource, StripedDecodeMatchesSerial) {
-  const auto trace = make_trace(1001);
-  TraceBlockSource serial(trace, kPage, 64, /*decode_workers=*/1);
-  for (const unsigned workers : {2u, 3u, 8u, 2000u}) {
-    TraceBlockSource striped(trace, kPage, 64, workers);
-    serial.rewind();
-    EXPECT_TRUE(drain(serial) == drain(striped)) << workers << " workers";
+TEST(TraceBlockSource, SuccessiveBlocksReuseOneBuffer) {
+  // Bounded decode: every block is decoded into the same storage, so the
+  // source holds one block of memory however long the trace is.
+  const auto trace = make_trace(1000);
+  TraceBlockSource source(trace, kPage, 64);
+  const DecodedBlock* first = source.next();
+  ASSERT_NE(first, nullptr);
+  const PageId* pages = first->pages;
+  const AccessType* types = first->types;
+  const std::uint64_t* hashes = first->hashes;
+  std::size_t seen = first->size;
+  while (const DecodedBlock* block = source.next()) {
+    EXPECT_EQ(block->pages, pages);
+    EXPECT_EQ(block->types, types);
+    EXPECT_EQ(block->hashes, hashes);
+    // The reused slots hold this block's accesses, not a stale window.
+    EXPECT_EQ(block->pages[0], page_of(trace[seen].addr, kPage)) << seen;
+    seen += block->size;
+  }
+  EXPECT_EQ(seen, trace.size());
+  source.rewind();
+  EXPECT_EQ(source.next()->pages, pages) << "rewind keeps the buffer";
+}
+
+TEST(TraceBlockSource, NonPowerOfTwoPageSizeDecodesByDivision) {
+  const auto trace = make_trace(200);
+  constexpr std::uint64_t kOddPage = 3000;
+  TraceBlockSource source(trace, kOddPage, 7);
+  const Flat flat = drain(source);
+  ASSERT_EQ(flat.pages.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(flat.pages[i], page_of(trace[i].addr, kOddPage)) << i;
   }
 }
 
 TEST(TraceBlockSource, EmptyTraceYieldsNoBlocks) {
   Trace trace;
   trace.set_name("empty");
-  TraceBlockSource source(trace, kPage, 4, /*decode_workers=*/8);
+  TraceBlockSource source(trace, kPage, 4);
   EXPECT_EQ(source.next(), nullptr);
   source.rewind();
   EXPECT_EQ(source.next(), nullptr);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
 #include <vector>
 
 namespace hymem::trace {
@@ -96,8 +99,22 @@ std::string three_record_bytes() {
   return buf.str();
 }
 
-std::string error_of(const std::string& bytes) {
-  std::stringstream in(bytes);
+/// A stringbuf that refuses to seek, like a pipe.
+class NoSeekBuf : public std::stringbuf {
+ public:
+  using std::stringbuf::stringbuf;
+
+ protected:
+  pos_type seekoff(off_type, std::ios_base::seekdir,
+                   std::ios_base::openmode) override {
+    return pos_type(off_type(-1));
+  }
+  pos_type seekpos(pos_type, std::ios_base::openmode) override {
+    return pos_type(off_type(-1));
+  }
+};
+
+std::string drain_error(std::istream& in) {
   try {
     StreamTraceReader reader(in);
     while (reader.next().has_value()) {
@@ -106,6 +123,28 @@ std::string error_of(const std::string& bytes) {
     return e.what();
   }
   return "";
+}
+
+std::string error_of(const std::string& bytes) {
+  std::stringstream in(bytes);
+  return drain_error(in);
+}
+
+std::string pipe_error_of(const std::string& bytes) {
+  NoSeekBuf pipe(bytes);
+  std::istream in(&pipe);
+  return drain_error(in);
+}
+
+/// "HYTS" | version | `name_len` — the first 12 bytes of a stream.
+std::string stream_header(std::uint32_t name_len) {
+  std::string bytes = "HYTS";
+  for (const std::uint32_t word : {kStreamFormatVersion, name_len}) {
+    char raw[sizeof(word)];
+    std::memcpy(raw, &word, sizeof(word));
+    bytes.append(raw, sizeof(word));
+  }
+  return bytes;
 }
 }  // namespace
 
@@ -126,6 +165,34 @@ TEST(StreamIo, TruncatedNameNamesOffset) {
   bytes.resize(12);  // name_len says 1 byte follows; nothing does.
   EXPECT_NE(error_of(bytes).find("truncated name at byte 12"),
             std::string::npos);
+}
+
+TEST(StreamIo, OversizedNameLengthFailsBeforeAllocating) {
+  // 12 bytes claiming a 4 GiB name: refused against the bytes remaining.
+  const std::string bytes = stream_header(0xFFFFFFFFu);
+  const std::string what = error_of(bytes);
+  EXPECT_NE(what.find("truncated name at byte 12"), std::string::npos) << what;
+  EXPECT_NE(what.find("name length 4294967295"), std::string::npos) << what;
+  // A pipe is read slice by slice and ends in the same named truncation.
+  EXPECT_NE(pipe_error_of(bytes).find("truncated name at byte 12"),
+            std::string::npos);
+}
+
+TEST(StreamIo, OversizedChunkCountOnAPipeEndsInTruncation) {
+  // 17 bytes: a one-byte name, then a chunk claiming 2^32 - 1 records. A
+  // seekable stream refuses the claim at the header; a pipe caps the
+  // reserve and fails where the records run out.
+  std::string bytes = stream_header(1);
+  bytes += 'x';
+  bytes.append(4, '\xff');
+  ASSERT_EQ(bytes.size(), 17u);
+  const std::string seekable = error_of(bytes);
+  EXPECT_NE(seekable.find("starting at byte 13"), std::string::npos)
+      << seekable;
+  const std::string pipe = pipe_error_of(bytes);
+  EXPECT_NE(pipe.find("truncated record address at byte 17"),
+            std::string::npos)
+      << pipe;
 }
 
 TEST(StreamIo, TruncatedChunkHeaderNamesOffset) {

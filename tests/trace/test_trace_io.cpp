@@ -2,11 +2,57 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 namespace hymem::trace {
 namespace {
+
+/// Appends `value`'s bytes in host (little-endian) order, as the writer does.
+template <typename T>
+void put(std::string& bytes, T value) {
+  char raw[sizeof(T)];
+  std::memcpy(raw, &value, sizeof(T));
+  bytes.append(raw, sizeof(T));
+}
+
+/// "HYTR" | version 1 | `name_len` — the first 12 bytes of a binary trace.
+std::string header(std::uint32_t name_len) {
+  std::string bytes = "HYTR";
+  put<std::uint32_t>(bytes, kTraceFormatVersion);
+  put<std::uint32_t>(bytes, name_len);
+  return bytes;
+}
+
+/// A stringbuf that refuses to seek, like a pipe.
+class NoSeekBuf : public std::stringbuf {
+ public:
+  using std::stringbuf::stringbuf;
+
+ protected:
+  pos_type seekoff(off_type, std::ios_base::seekdir,
+                   std::ios_base::openmode) override {
+    return pos_type(off_type(-1));
+  }
+  pos_type seekpos(pos_type, std::ios_base::openmode) override {
+    return pos_type(off_type(-1));
+  }
+};
+
+std::string binary_error(const std::string& bytes, bool seekable) {
+  NoSeekBuf pipe(bytes);
+  std::stringstream file(bytes);
+  std::istream pipe_in(&pipe);
+  try {
+    read_binary(seekable ? static_cast<std::istream&>(file) : pipe_in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
 
 Trace sample_trace() {
   Trace t("sample");
@@ -57,6 +103,37 @@ TEST(TraceIo, TruncatedBinaryThrows) {
   bytes.resize(bytes.size() - 5);
   std::stringstream cut(bytes);
   EXPECT_THROW(read_binary(cut), std::runtime_error);
+}
+
+TEST(TraceIo, OversizedNameLengthNamesItsOffset) {
+  // 12 bytes: a header claiming a 4 GiB name with nothing behind it must
+  // fail before allocating, naming where the name should start.
+  const std::string bytes = header(0xFFFFFFFFu);
+  const std::string what = binary_error(bytes, /*seekable=*/true);
+  EXPECT_NE(what.find("truncated name at byte 12"), std::string::npos) << what;
+  EXPECT_NE(what.find("name length 4294967295"), std::string::npos) << what;
+  EXPECT_NE(what.find("0 bytes remaining"), std::string::npos) << what;
+  // A pipe cannot be measured; the name is read slice by slice instead.
+  EXPECT_NE(binary_error(bytes, /*seekable=*/false)
+                .find("truncated name at byte 12"),
+            std::string::npos);
+}
+
+TEST(TraceIo, OversizedRecordCountNamesItsOffset) {
+  // 21 bytes: a one-byte name, then a record count of 2^63 and no records.
+  std::string bytes = header(1);
+  bytes += 'x';
+  put<std::uint64_t>(bytes, std::uint64_t{1} << 63);
+  ASSERT_EQ(bytes.size(), 21u);
+  const std::string what = binary_error(bytes, /*seekable=*/true);
+  EXPECT_NE(what.find("record count 9223372036854775808 at byte 13"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("0 bytes remain"), std::string::npos) << what;
+  // Non-seekable: the reserve is capped, so the run ends in a truncation
+  // error, not bad_alloc.
+  EXPECT_NE(binary_error(bytes, /*seekable=*/false).find("truncated"),
+            std::string::npos);
 }
 
 TEST(TraceIo, BadAccessKindThrows) {

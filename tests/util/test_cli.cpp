@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace hymem {
 namespace {
 
@@ -52,6 +55,41 @@ TEST(Cli, DefaultsWhenAbsent) {
 TEST(Cli, DoubleValues) {
   const auto args = parse({"prog", "--frac=0.75"});
   EXPECT_DOUBLE_EQ(args.get_double("frac", 0.0), 0.75);
+}
+
+TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
+  const auto args = parse({"prog", "--scale", "abc", "--seed=12x", "--frac",
+                           "0.5.1", "--empty="});
+  for (const char* flag : {"scale", "seed", "empty"}) {
+    try {
+      (void)args.get_uint(flag, 1);
+      ADD_FAILURE() << flag << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)args.get_double("frac", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("scale", 0), std::invalid_argument);
+}
+
+TEST(Cli, NegativeUnsignedIsRejectedNotWrapped) {
+  // stoull used to accept "-1" and wrap it to 2^64 - 1.
+  const auto args = parse({"prog", "--scale=-1", "--offset=-1"});
+  EXPECT_THROW((void)args.get_uint("scale", 1), std::invalid_argument);
+  EXPECT_EQ(args.get_int("offset", 0), -1);
+}
+
+TEST(Cli, OutOfRangeAndNonFiniteRejected) {
+  const auto args = parse({"prog", "--big=18446744073709551616",
+                           "--max=18446744073709551615", "--inf=inf",
+                           "--nan=nan", "--tiny=1e-3"});
+  EXPECT_THROW((void)args.get_uint("big", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_uint("max", 0), 18446744073709551615u);
+  EXPECT_THROW((void)args.get_double("inf", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("nan", 0.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(args.get_double("tiny", 0.0), 1e-3);
 }
 
 TEST(Cli, ProgramName) {
