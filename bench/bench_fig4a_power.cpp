@@ -7,6 +7,8 @@
 // canneal / fluidanimate / streamcluster remain hybrid-hostile; raytrace's
 // migration cost exceeds CLOCK-DWF's (its best thresholds differ).
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "sim/figure_schemas.hpp"
@@ -19,18 +21,29 @@ int main(int argc, char** argv) {
       "Fig. 4a — power of CLOCK-DWF vs proposed, normalized to DRAM-only",
       ctx);
 
+  // One shared-seed grid: every policy of a workload replays one trace pair.
+  const std::vector<std::string> policies = {"dram-only", "clock-dwf",
+                                             "two-lru"};
+  const auto profiles = synth::parsec_profiles();
+  const auto sweep =
+      bench::run_grid({profiles.begin(), profiles.end()}, policies, ctx);
+  if (sweep.failures() != 0) return 1;
+
   sim::FigureTable table = sim::figure_schema("fig4a").make_table();
-  for (const auto& profile : synth::parsec_profiles()) {
-    const double base = bench::run(profile, "dram-only", ctx).appr().total();
+  for (std::size_t w = 0; w < profiles.size(); ++w) {
+    const auto appr = [&](std::size_t p) {
+      return sweep.jobs[w * policies.size() + p].result.appr();
+    };
+    const double base = appr(0).total();
     std::vector<sim::Stack> stacks;
-    for (const char* policy : {"clock-dwf", "two-lru"}) {
-      const auto power = bench::run(profile, policy, ctx).appr();
+    for (std::size_t p = 1; p < policies.size(); ++p) {
+      const auto power = appr(p);
       stacks.push_back(
           sim::Stack{{power.static_nj / base,
                       (power.hit_nj + power.fault_fill_nj) / base,
                       power.migration_nj / base}});
     }
-    table.add(profile.name, stacks);
+    table.add(profiles[w].name, stacks);
   }
   table.print(std::cout);
   std::cout << "\nproposed / DRAM-only (G-Mean): "

@@ -7,6 +7,8 @@
 // writes served by NVM directly (the scheme's deliberate trade-off).
 // streamcluster and vips lean slightly towards CLOCK-DWF.
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "sim/figure_schemas.hpp"
@@ -19,21 +21,29 @@ int main(int argc, char** argv) {
       "Fig. 4b — NVM writes of CLOCK-DWF vs proposed, normalized to NVM-only",
       ctx);
 
+  // One shared-seed grid: every policy of a workload replays one trace pair.
+  const std::vector<std::string> policies = {"nvm-only", "clock-dwf",
+                                             "two-lru"};
+  const auto profiles = synth::parsec_profiles();
+  const auto sweep =
+      bench::run_grid({profiles.begin(), profiles.end()}, policies, ctx);
+  if (sweep.failures() != 0) return 1;
+
   sim::FigureTable table = sim::figure_schema("fig4b").make_table();
-  for (const auto& profile : synth::parsec_profiles()) {
-    const auto base =
-        static_cast<double>(bench::run(profile, "nvm-only", ctx)
-                                .nvm_writes()
-                                .total());
+  for (std::size_t w = 0; w < profiles.size(); ++w) {
+    const auto nvm_writes = [&](std::size_t p) {
+      return sweep.jobs[w * policies.size() + p].result.nvm_writes();
+    };
+    const auto base = static_cast<double>(nvm_writes(0).total());
     std::vector<sim::Stack> stacks;
-    for (const char* policy : {"clock-dwf", "two-lru"}) {
-      const auto writes = bench::run(profile, policy, ctx).nvm_writes();
+    for (std::size_t p = 1; p < policies.size(); ++p) {
+      const auto writes = nvm_writes(p);
       stacks.push_back(sim::Stack{
           {static_cast<double>(writes.fault_fill_writes) / base,
            static_cast<double>(writes.migration_writes) / base,
            static_cast<double>(writes.demand_writes) / base}});
     }
-    table.add(profile.name, stacks);
+    table.add(profiles[w].name, stacks);
   }
   table.print(std::cout);
   std::cout << "\nproposed / NVM-only (G-Mean): " << table.geomean_total(1)

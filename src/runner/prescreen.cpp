@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <string>
-#include <tuple>
 #include <utility>
 
+#include "runner/trace_share.hpp"
 #include "sim/experiment.hpp"
 
 namespace hymem::runner {
@@ -22,16 +21,15 @@ PrescreenResults run_prescreened_sweep(const SweepSpec& spec,
     out.screen[i].index = i;
   }
 
-  // One characterization per distinct (workload, seed, page size): the
-  // reuse-distance profile does not depend on the policy or sizing knobs,
-  // so a whole policy/variant grid shares one O(n log n) pass.
-  std::map<std::tuple<std::string, std::uint64_t, std::uint64_t>,
-           sim::AnalyticWorkload>
-      characterized;
+  // One characterization per distinct generator key (the trace share's
+  // key): the reuse-distance profile does not depend on the policy or
+  // sizing knobs, so a whole policy/variant grid shares one O(n log n) pass.
+  // characterize_workload frees its trace pair before returning, so this
+  // phase holds one pair at a time.
+  std::map<TraceKey, sim::AnalyticWorkload> characterized;
   const auto characterize = [&](const SweepJob& job)
       -> const sim::AnalyticWorkload& {
-    const auto key = std::make_tuple(job.workload.name, job.seed,
-                                     job.config.page_size);
+    const TraceKey key = trace_key(job, spec.scale);
     auto it = characterized.find(key);
     if (it == characterized.end()) {
       it = characterized

@@ -4,7 +4,8 @@
 // searches affordable.
 //
 // Flow: expand the grid exactly like run_sweep, characterize each distinct
-// (workload, seed, page size) once (one O(n log n) reuse-distance pass),
+// generator key (runner/trace_share's TraceKey: full profile, scale, seed,
+// page and line size) once (one O(n log n) reuse-distance pass),
 // estimate every analytic-supported cell in-process (thousands of cells per
 // second), rank by predicted Eq. 1 AMAT, and simulate the union of
 //   * the top `refine_top` supported cells (all of them when refine_top is

@@ -11,7 +11,6 @@
 #include "runner/thread_pool.hpp"
 #include "sim/engine.hpp"
 #include "sim/policy_factory.hpp"
-#include "synth/generator.hpp"
 #include "trace/block_source.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/budget.hpp"
@@ -72,10 +71,11 @@ void merge_into(sim::RunResult& merged, const sim::RunResult& shard) {
 
 }  // namespace
 
-sim::RunResult run_sharded_experiment(const trace::Trace& warmup,
-                                      const trace::Trace& measured,
-                                      double duration_s,
+sim::RunResult run_sharded_experiment(const sim::WorkloadTraces& traces,
                                       const sim::ExperimentConfig& config) {
+  const trace::Trace& warmup = traces.warmup;
+  const trace::Trace& measured = traces.measured;
+  const double duration_s = traces.roi_seconds;
   const unsigned shards = config.shards;
   if (shards < 2) {
     throw std::invalid_argument(
@@ -196,27 +196,22 @@ sim::RunResult run_sharded_workload(const synth::WorkloadProfile& profile,
                                     std::uint64_t scale,
                                     const sim::ExperimentConfig& config,
                                     std::uint64_t seed) {
-  const synth::WorkloadProfile scaled = profile.scaled(scale);
-  synth::GeneratorOptions options;
-  options.page_size = config.page_size;
-  options.line_size = config.access_granularity;
-  options.seed = seed;
-  const trace::Trace warmup = synth::generate(scaled, options);
-  synth::GeneratorOptions body_options = options;
-  body_options.ensure_full_footprint = false;
-  body_options.seed = seed + 1;
-  const trace::Trace measured = synth::generate(scaled, body_options);
-  return run_sharded_experiment(warmup, measured, scaled.roi_seconds, config);
+  return run_sharded_experiment(
+      sim::generate_workload(profile, scale, config, seed), config);
+}
+
+sim::RunResult run_workload_dispatch(const sim::WorkloadTraces& traces,
+                                     const sim::ExperimentConfig& config) {
+  return config.shards > 1 ? run_sharded_experiment(traces, config)
+                           : sim::run_experiment(traces, config);
 }
 
 sim::RunResult run_workload_dispatch(const synth::WorkloadProfile& profile,
                                      std::uint64_t scale,
                                      const sim::ExperimentConfig& config,
                                      std::uint64_t seed) {
-  if (config.shards > 1) {
-    return run_sharded_workload(profile, scale, config, seed);
-  }
-  return sim::run_workload(profile, scale, config, seed);
+  return run_workload_dispatch(
+      sim::generate_workload(profile, scale, config, seed), config);
 }
 
 }  // namespace hymem::runner

@@ -21,29 +21,31 @@
 
 #include "sim/experiment.hpp"
 #include "synth/workload_profile.hpp"
-#include "trace/trace.hpp"
 
 namespace hymem::runner {
 
-/// Two-trace partitioned run: memory is sized from `warmup`'s footprint,
-/// each shard warms on its slice of `warmup`, then replays its slice of
-/// `measured` with counting on. Requires config.shards > 1 and a
-/// non-sampled policy; throws std::invalid_argument otherwise.
-sim::RunResult run_sharded_experiment(const trace::Trace& warmup,
-                                      const trace::Trace& measured,
-                                      double duration_s,
+/// Two-trace partitioned run: memory is sized from the warmup trace's
+/// footprint, each shard warms on its slice of `traces.warmup`, then
+/// replays its slice of `traces.measured` with counting on. Requires
+/// config.shards > 1 and a non-sampled policy; throws std::invalid_argument
+/// otherwise.
+sim::RunResult run_sharded_experiment(const sim::WorkloadTraces& traces,
                                       const sim::ExperimentConfig& config);
 
-/// Generates the workload's synthetic traces (like sim::run_workload) and
+/// Generates the workload's synthetic traces (sim::generate_workload) and
 /// runs the partitioned experiment on them.
 sim::RunResult run_sharded_workload(const synth::WorkloadProfile& profile,
                                     std::uint64_t scale,
                                     const sim::ExperimentConfig& config,
                                     std::uint64_t seed = 42);
 
-/// Routing helper for the sweep runner and harnesses: dispatches to
-/// run_sharded_workload when config.shards > 1, and to the serial
-/// sim::run_workload otherwise.
+/// Routing helper for the sweep runner: runs generated traces through
+/// run_sharded_experiment when config.shards > 1, and through the serial
+/// sim::run_experiment otherwise.
+sim::RunResult run_workload_dispatch(const sim::WorkloadTraces& traces,
+                                     const sim::ExperimentConfig& config);
+
+/// As above, generating the workload's traces first.
 sim::RunResult run_workload_dispatch(const synth::WorkloadProfile& profile,
                                      std::uint64_t scale,
                                      const sim::ExperimentConfig& config,

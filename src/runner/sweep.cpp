@@ -6,6 +6,7 @@
 #include "obs/timeline_io.hpp"
 #include "runner/sharded.hpp"
 #include "runner/thread_pool.hpp"
+#include "runner/trace_share.hpp"
 #include "sim/results_io.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
@@ -166,18 +167,19 @@ void execute_jobs(SweepResults& results, std::uint64_t scale,
                                             1, indices.size()))));
 
   ProgressTracker progress(indices.size(), options.progress);
+  TraceShare share(results.jobs, scale, indices);
   const auto run_one = [&](std::size_t i) {
     auto& slot = results.jobs[i];
     const auto start = std::chrono::steady_clock::now();
     try {
-      slot.result = run_workload_dispatch(slot.job.workload, scale,
-                                          slot.job.config, slot.job.seed);
+      slot.result = run_workload_dispatch(share.acquire(i), slot.job.config);
       slot.ok = true;
     } catch (const std::exception& e) {
       slot.error = e.what();
     } catch (...) {
       slot.error = "unknown exception";
     }
+    share.release(i);
     slot.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();
@@ -187,10 +189,10 @@ void execute_jobs(SweepResults& results, std::uint64_t scale,
   const auto sweep_start = std::chrono::steady_clock::now();
   if (workers == 1) {
     // Serial reference path: same jobs, same slots, no threads at all.
-    for (const std::size_t i : indices) run_one(i);
+    for (const std::size_t i : share.dispatch_order()) run_one(i);
   } else {
     ThreadPool pool(workers);
-    for (const std::size_t i : indices) {
+    for (const std::size_t i : share.dispatch_order()) {
       pool.submit([&run_one, i] { run_one(i); });
     }
     pool.wait_idle();
@@ -199,6 +201,7 @@ void execute_jobs(SweepResults& results, std::uint64_t scale,
                        std::chrono::steady_clock::now() - sweep_start)
                        .count();
   results.workers = workers;
+  results.traces = share.stats();
 }
 
 SweepResults run_sweep(const SweepSpec& spec, const SweepOptions& options) {

@@ -4,8 +4,10 @@
 //
 // Determinism contract: the grid expands in a fixed row-major order
 // (workload-major, then policy, then variant); each job's seed is a pure
-// function of (base_seed, job index); each job owns its generator and VMM;
-// and results land in pre-allocated slots indexed by job. Consequently a
+// function of (base_seed, job index); each job owns its VMM and policy and
+// replays read-only traces that are a pure function of its generator key
+// (runner/trace_share: jobs with equal keys share one generation); and
+// results land in pre-allocated slots indexed by job. Consequently a
 // sweep's exported CSV/JSON is byte-identical for any worker count,
 // including the serial (--jobs 1) path.
 //
@@ -85,12 +87,20 @@ struct JobResult {
   double wall_ms = 0.0;   ///< This job's own wall time.
 };
 
+/// What execute_jobs's trace share did (runner/trace_share). Diagnostics
+/// only: never exported with the results.
+struct TraceShareStats {
+  std::size_t generations = 0;  ///< Trace pairs generated.
+  std::size_t peak_live = 0;    ///< Most pairs held at once.
+};
+
 /// Thread-safe-by-construction result store: slots are pre-allocated in
 /// grid order and each worker writes only its own slot.
 struct SweepResults {
   std::vector<JobResult> jobs;  ///< Grid order, one slot per job.
   double wall_s = 0.0;          ///< Whole-sweep wall time.
   unsigned workers = 1;         ///< Worker threads actually used.
+  TraceShareStats traces;       ///< The last execute_jobs call's share.
 
   /// Jobs that ran and failed. Prescreen-skipped jobs are not failures.
   std::size_t failures() const;
@@ -133,8 +143,10 @@ SweepResults run_sweep(const SweepSpec& spec, const SweepOptions& options = {});
 /// The executor behind run_sweep, shared with the analytic prescreen: runs
 /// only the jobs whose grid indices appear in `indices` (each at most once;
 /// untouched slots keep their prior state). Slots must already carry their
-/// SweepJob. Serial when the effective worker count is 1, byte-identical
-/// results for any worker count.
+/// SweepJob. Jobs with equal generator keys replay one shared trace pair,
+/// generated once and freed after the key's last job. Serial when the
+/// effective worker count is 1, byte-identical results for any worker
+/// count.
 void execute_jobs(SweepResults& results, std::uint64_t scale,
                   const std::vector<std::size_t>& indices,
                   const SweepOptions& options);

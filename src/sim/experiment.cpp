@@ -142,24 +142,12 @@ RunResult measured_run(policy::HybridPolicy& policy, const trace::Trace& trace,
   return finish(result);
 }
 
-}  // namespace
-
-RunResult run_experiment(const trace::Trace& trace, double duration_s,
-                         const ExperimentConfig& config) {
-  const MemorySizing sizing = size_memory(footprint_of(trace, config), config);
-  os::Vmm vmm(vmm_config_for(sizing, config));
-  const auto policy =
-      make_policy(config.policy, vmm, config.migration, config.sample);
-  // Note: run_blocks's warmup passes bypass the observer seam, so on this
-  // single-trace path a sampled policy warms up placement (demand faults)
-  // but not hotness. The two-trace variant below warms both.
-  return measured_run(*policy, trace, duration_s, config.warmup_passes, config);
-}
-
-RunResult run_experiment(const trace::Trace& warmup,
-                         const trace::Trace& measured, double duration_s,
-                         const ExperimentConfig& config) {
-  const MemorySizing sizing = size_memory(footprint_of(warmup, config), config);
+// The two-trace run with the warmup footprint already counted.
+RunResult run_two_trace(const trace::Trace& warmup,
+                        const trace::Trace& measured, double duration_s,
+                        std::uint64_t footprint_pages,
+                        const ExperimentConfig& config) {
+  const MemorySizing sizing = size_memory(footprint_pages, config);
   os::Vmm vmm(vmm_config_for(sizing, config));
   const auto policy =
       make_policy(config.policy, vmm, config.migration, config.sample);
@@ -188,6 +176,52 @@ RunResult run_experiment(const trace::Trace& warmup,
   }
   return measured_run(*policy, measured, duration_s, /*warmup_passes=*/0,
                       config);
+}
+
+}  // namespace
+
+RunResult run_experiment(const trace::Trace& trace, double duration_s,
+                         const ExperimentConfig& config) {
+  const MemorySizing sizing = size_memory(footprint_of(trace, config), config);
+  os::Vmm vmm(vmm_config_for(sizing, config));
+  const auto policy =
+      make_policy(config.policy, vmm, config.migration, config.sample);
+  // Note: run_blocks's warmup passes bypass the observer seam, so on this
+  // single-trace path a sampled policy warms up placement (demand faults)
+  // but not hotness. The two-trace variant below warms both.
+  return measured_run(*policy, trace, duration_s, config.warmup_passes, config);
+}
+
+RunResult run_experiment(const trace::Trace& warmup,
+                         const trace::Trace& measured, double duration_s,
+                         const ExperimentConfig& config) {
+  return run_two_trace(warmup, measured, duration_s,
+                       footprint_of(warmup, config), config);
+}
+
+RunResult run_experiment(const WorkloadTraces& traces,
+                         const ExperimentConfig& config) {
+  return run_two_trace(traces.warmup, traces.measured, traces.roi_seconds,
+                       traces.footprint_pages, config);
+}
+
+WorkloadTraces generate_workload(const synth::WorkloadProfile& profile,
+                                 std::uint64_t scale,
+                                 const ExperimentConfig& config,
+                                 std::uint64_t seed) {
+  const synth::WorkloadProfile scaled = profile.scaled(scale);
+  synth::GeneratorOptions options;
+  options.page_size = config.page_size;
+  options.line_size = config.access_granularity;
+  options.seed = seed;
+  WorkloadTraces traces;
+  traces.warmup = synth::generate(scaled, options);
+  options.ensure_full_footprint = false;
+  options.seed = seed + 1;
+  traces.measured = synth::generate(scaled, options);
+  traces.roi_seconds = scaled.roi_seconds;
+  traces.footprint_pages = footprint_of(traces.warmup, config);
+  return traces;
 }
 
 bool analytic_supported(const ExperimentConfig& config) {
@@ -220,27 +254,17 @@ AnalyticWorkload characterize_workload(const synth::WorkloadProfile& profile,
                                        std::uint64_t scale,
                                        const ExperimentConfig& config,
                                        std::uint64_t seed) {
-  const synth::WorkloadProfile scaled = profile.scaled(scale);
-  synth::GeneratorOptions options;
-  options.page_size = config.page_size;
-  options.line_size = config.access_granularity;
-  options.seed = seed;
-  const trace::Trace warmup = synth::generate(scaled, options);
-  synth::GeneratorOptions body_options = options;
-  body_options.ensure_full_footprint = false;
-  body_options.seed = seed + 1;
-  const trace::Trace measured = synth::generate(scaled, body_options);
-
+  const WorkloadTraces traces = generate_workload(profile, scale, config, seed);
   trace::ReuseDistanceAnalyzer analyzer(config.page_size);
   // One warmup observation suffices for any warmup_passes: repeated passes
   // leave the same final LRU stack order.
-  analyzer.observe(warmup);
-  AnalyticWorkload w;
-  w.footprint_pages = analyzer.distinct_pages();
+  analyzer.observe(traces.warmup);
   analyzer.reset_stats();
-  analyzer.observe(measured);
+  analyzer.observe(traces.measured);
+  AnalyticWorkload w;
   w.profile = analyzer.profile();
-  w.duration_s = scaled.roi_seconds;
+  w.footprint_pages = traces.footprint_pages;
+  w.duration_s = traces.roi_seconds;
   return w;
 }
 
@@ -259,20 +283,8 @@ model::AnalyticEstimate analytic_estimate(const AnalyticWorkload& workload,
 RunResult run_workload(const synth::WorkloadProfile& profile,
                        std::uint64_t scale, const ExperimentConfig& config,
                        std::uint64_t seed) {
-  const synth::WorkloadProfile scaled = profile.scaled(scale);
-  synth::GeneratorOptions options;
-  options.page_size = config.page_size;
-  options.line_size = config.access_granularity;
-  options.seed = seed;
-  // The warmup trace covers the full Table III footprint (cold start);
-  // the measured trace draws from the same distribution without the forced
-  // one-time cold touches, so the counted window is steady-state.
-  const trace::Trace warmup = synth::generate(scaled, options);
-  synth::GeneratorOptions body_options = options;
-  body_options.ensure_full_footprint = false;
-  body_options.seed = seed + 1;
-  const trace::Trace measured = synth::generate(scaled, body_options);
-  return run_experiment(warmup, measured, scaled.roi_seconds, config);
+  return run_experiment(generate_workload(profile, scale, config, seed),
+                        config);
 }
 
 }  // namespace hymem::sim

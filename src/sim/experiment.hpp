@@ -79,6 +79,32 @@ RunResult run_experiment(const trace::Trace& warmup,
                          const trace::Trace& measured, double duration_s,
                          const ExperimentConfig& config);
 
+/// One workload's generated steady-state input: the warmup trace covers the
+/// full Table III footprint (cold start, generator seed `seed`); the
+/// measured trace draws from the same distribution without the forced
+/// one-time cold touches (seed `seed + 1`), so the counted window is
+/// steady-state. Read-only once generated: any number of runs, on any
+/// threads, may replay the same pair.
+struct WorkloadTraces {
+  trace::Trace warmup;
+  trace::Trace measured;
+  double roi_seconds = 0.0;           ///< Scaled ROI seconds (Eq. 3).
+  std::uint64_t footprint_pages = 0;  ///< Warmup distinct pages (sizing).
+};
+
+/// The single place a workload's traces are generated: `profile` divided by
+/// `scale`, addresses at config.page_size / config.access_granularity. Only
+/// those two config fields matter.
+WorkloadTraces generate_workload(const synth::WorkloadProfile& profile,
+                                 std::uint64_t scale,
+                                 const ExperimentConfig& config,
+                                 std::uint64_t seed = 42);
+
+/// run_experiment over a generated pair, sized from its precomputed
+/// footprint. Byte-identical to the two-trace overload above.
+RunResult run_experiment(const WorkloadTraces& traces,
+                         const ExperimentConfig& config);
+
 /// Generates the synthetic traces for `profile` (divided by `scale`) and
 /// runs the steady-state experiment on them.
 RunResult run_workload(const synth::WorkloadProfile& profile,

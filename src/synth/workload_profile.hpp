@@ -14,6 +14,7 @@
 //                       threshold (Sec. V.B), making threshold choice risky
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -79,6 +80,11 @@ struct WorkloadProfile {
   /// and (with roi_seconds unchanged) the static power per request are all
   /// preserved, so paper-shaped experiments run `divisor`x faster.
   WorkloadProfile scaled(std::uint64_t divisor) const;
+
+  /// Field-wise: two profiles generate the same trace only when every field
+  /// (not just the name) matches. The ordering only keys maps.
+  bool operator==(const WorkloadProfile&) const = default;
+  auto operator<=>(const WorkloadProfile&) const = default;
 };
 
 /// The twelve PARSEC workloads of Table III (swaptions excluded, as in the

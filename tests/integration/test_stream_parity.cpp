@@ -11,7 +11,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "check/stream_parity.hpp"
@@ -22,8 +21,13 @@
 #include "trace/block_source.hpp"
 #include "trace/stream_io.hpp"
 
+#include "peak_rss.hpp"
+
 namespace hymem {
 namespace {
+
+using testing_rss::peak_rss_bytes;
+using testing_rss::reset_peak_rss;
 
 TEST(StreamParity, FuzzScenariosMatchAcrossEveryIngestMode) {
   // Same scenario family as the differential fuzzer: thrash loops, write
@@ -34,44 +38,6 @@ TEST(StreamParity, FuzzScenariosMatchAcrossEveryIngestMode) {
     EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.divergence;
     EXPECT_GT(report.accesses, 0u);
   }
-}
-
-/// VmHWM ("peak RSS") in bytes from /proc/self/status.
-std::uint64_t peak_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream fields(line.substr(6));
-      std::uint64_t kb = 0;
-      fields >> kb;
-      return kb * 1024;
-    }
-  }
-  return 0;
-}
-
-std::uint64_t current_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) {
-      std::istringstream fields(line.substr(6));
-      std::uint64_t kb = 0;
-      fields >> kb;
-      return kb * 1024;
-    }
-  }
-  return 0;
-}
-
-/// Resets VmHWM to the current RSS (Linux: "5" into clear_refs).
-bool reset_peak_rss() {
-  std::ofstream clear("/proc/self/clear_refs");
-  if (!clear) return false;
-  clear << "5";
-  clear.close();
-  return peak_rss_bytes() <= current_rss_bytes() + (4u << 20);
 }
 
 TEST(StreamParity, StreamedReplayPeakMemoryIsBoundedByChunkNotTrace) {
